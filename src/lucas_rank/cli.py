@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import closed_form, rank, verifier
+from . import rank, verifier
 from .errors import LucasRankError
 from .gcd_identities import divides_uu, divides_vu, gcd_uu, gcd_uv, gcd_vv
 from .lucas_core import make_params, u_exact, uv_mod, v_exact
@@ -64,15 +64,9 @@ def _params(ns):
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_seq_u(ns) -> int:
-    value = u_exact(_params(ns), ns.n)
-    _emit(ns, str(value), {"kind": "U", "index": ns.n, "value": value})
-    return 0
-
-
-def _cmd_seq_v(ns) -> int:
-    value = v_exact(_params(ns), ns.n)
-    _emit(ns, str(value), {"kind": "V", "index": ns.n, "value": value})
+def _cmd_seq(ns) -> int:
+    value = (u_exact if ns.which == "u" else v_exact)(_params(ns), ns.n)
+    _emit(ns, str(value), {"kind": ns.which.upper(), "index": ns.n, "value": value})
     return 0
 
 
@@ -82,20 +76,11 @@ def _cmd_seq_mod(ns) -> int:
     return 0
 
 
-def _cmd_val_u(ns) -> int:
-    r = nu_u(_params(ns), ns.p, ns.n)
-    _emit(ns, str(r.value), {"value": r.value, "prime": r.prime, "case": r.case})
-    return 0
-
-
-def _cmd_val_v(ns) -> int:
-    r = nu_v(_params(ns), ns.p, ns.n)
-    _emit(ns, str(r.value), {"value": r.value, "prime": r.prime, "case": r.case})
-    return 0
-
-
-def _cmd_val_int(ns) -> int:
-    r = nu_int(ns.p, ns.x)
+def _cmd_val(ns) -> int:
+    if ns.which == "int":
+        r = nu_int(ns.p, ns.x)
+    else:
+        r = (nu_u if ns.which == "u" else nu_v)(_params(ns), ns.p, ns.n)
     _emit(ns, str(r.value), {"value": r.value, "prime": r.prime, "case": r.case})
     return 0
 
@@ -139,21 +124,8 @@ def _cmd_tau_scan(ns) -> int:
     return 0
 
 
-def _formula_pair_handler(fn):
-    def handler(ns) -> int:
-        r = fn(_params(ns), ns.m, ns.n)
-        _emit(
-            ns,
-            str(r.value),
-            {"value": r.value, "case_label": r.case_label, "ingredients": r.ingredients},
-        )
-        return 0
-
-    return handler
-
-
-def _cmd_formula_triple(ns) -> int:
-    r = closed_form.tau_triple(_params(ns), ns.n, ns.p)
+def _cmd_formula(ns) -> int:
+    r = verifier.THEOREM_TABLE[ns.which].evaluate(_params(ns), vars(ns))
     _emit(
         ns,
         str(r.value),
@@ -210,16 +182,14 @@ def _finish_report(ns, report) -> int:
 
 
 def _cmd_verify_sweep(ns) -> int:
-    ranges = {}
-    if ns.theorem == "triple":
-        ranges["n"] = (ns.n_min if ns.n_min is not None else 1,
-                       ns.n_max if ns.n_max is not None else 60)
-        ranges["p"] = ns.primes if ns.primes is not None else (3, 5, 7)
-    else:
-        ranges["m"] = (ns.m_min if ns.m_min is not None else 3,
-                       ns.m_max if ns.m_max is not None else 20)
-        ranges["n"] = (ns.n_min if ns.n_min is not None else 3,
-                       ns.n_max if ns.n_max is not None else 20)
+    ranges = verifier.default_ranges(ns.theorem)
+    for key, default in ranges.items():
+        if key == "p":  # the triple's primes are listed, not bounded
+            if ns.primes is not None:
+                ranges[key] = ns.primes
+            continue
+        lo, hi = getattr(ns, f"{key}_min"), getattr(ns, f"{key}_max")
+        ranges[key] = (default[0] if lo is None else lo, default[1] if hi is None else hi)
     report = verifier.sweep(
         _params(ns),
         ns.theorem,
@@ -257,12 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = top.add_parser("seq", help="evaluate U_n or V_n").add_subparsers(
         dest="which", required=True)
-    p = seq.add_parser("u", parents=[common])
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.set_defaults(func=_cmd_seq_u)
-    p = seq.add_parser("v", parents=[common])
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.set_defaults(func=_cmd_seq_v)
+    for name in ("u", "v"):
+        p = seq.add_parser(name, parents=[common])
+        p.add_argument("--n", type=_nonneg, required=True)
+        p.set_defaults(func=_cmd_seq)
     p = seq.add_parser("mod", parents=[common])
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--modulus", type=_positive, required=True)
@@ -270,18 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = top.add_parser("val", help="p-adic valuations").add_subparsers(
         dest="which", required=True)
-    p = val.add_parser("u", parents=[common])
-    p.add_argument("--p", type=_positive, required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    p.set_defaults(func=_cmd_val_u)
-    p = val.add_parser("v", parents=[common])
-    p.add_argument("--p", type=_positive, required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    p.set_defaults(func=_cmd_val_v)
-    p = val.add_parser("int", parents=[common])
-    p.add_argument("--p", type=_positive, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.set_defaults(func=_cmd_val_int)
+    for name, arg, kind in (("u", "--n", _positive), ("v", "--n", _positive), ("int", "--x", int)):
+        p = val.add_parser(name, parents=[common])
+        p.add_argument("--p", type=_positive, required=True)
+        p.add_argument(arg, type=kind, required=True)
+        p.set_defaults(func=_cmd_val)
 
     gcd = top.add_parser("gcd", help="gcd closed forms").add_subparsers(
         dest="which", required=True)
@@ -312,19 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     formula = top.add_parser("formula", help="closed forms for tau of products") \
         .add_subparsers(dest="which", required=True)
-    for name, fn in (
-        ("um-vn", closed_form.tau_um_vn),
-        ("um-un", closed_form.tau_um_un),
-        ("vm-vn", closed_form.tau_vm_vn),
-    ):
+    for name, theorem in verifier.THEOREM_TABLE.items():
         p = formula.add_parser(name, parents=[common])
-        p.add_argument("--m", type=_positive, required=True)
-        p.add_argument("--n", type=_positive, required=True)
-        p.set_defaults(func=_formula_pair_handler(fn))
-    p = formula.add_parser("triple", parents=[common])
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--p", type=_positive, required=True)
-    p.set_defaults(func=_cmd_formula_triple)
+        for key in theorem.keys:
+            p.add_argument(f"--{key}", type=_positive, required=True)
+        p.set_defaults(func=_cmd_formula)
 
     verify = top.add_parser("verify", help="grid verification reports").add_subparsers(
         dest="which", required=True)

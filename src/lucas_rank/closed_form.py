@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import rank
-from .errors import BadRange, NotEligible, NotOddPrime
-from .gcd_identities import gcd_vv
-from .lucas_core import LucasParams, u_exact, v_exact
+from .errors import BadRange, NotOddPrime
+from .gcd_identities import check_pair, gcd_vv
+from .lucas_core import LucasParams, nu2, require_eligible, u_exact, v_exact
 
 
 @dataclass(frozen=True)
@@ -24,27 +24,13 @@ class ClosedFormResult:
     ingredients: dict = field(default_factory=dict)
 
 
-def _nu2(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
-def _check_pair(params: LucasParams, m: int, n: int) -> None:
-    if not params.theorem_eligible:
-        raise NotEligible(
-            f"(a, b) = ({params.a}, {params.b}) needs a > 0 and delta > 0, "
-            f"got delta = {params.delta}"
-        )
-    if m < 3 or n < 3:
-        raise BadRange(f"indices must be >= 3, got ({m}, {n})")
-
-
 def tau_um_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     """tau(U_m * V_n) for m, n >= 3."""
-    _check_pair(params, m, n)
+    check_pair(params, m, n)
     d = math.gcd(m, n)
     lcm = math.lcm(m, n)
-    ing = {"d": d, "lcm": lcm, "nu2_m": _nu2(m), "nu2_n": _nu2(n)}
-    if _nu2(m) <= _nu2(n):
+    ing = {"d": d, "lcm": lcm, "nu2_m": nu2(m), "nu2_n": nu2(n)}
+    if nu2(m) <= nu2(n):
         return ClosedFormResult(2 * lcm, "2lcm", ing)
     vd = v_exact(params, d)
     ing["V_d"] = vd
@@ -53,7 +39,7 @@ def tau_um_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
 
 def tau_um_un(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     """tau(U_m * U_n) for m, n >= 3."""
-    _check_pair(params, m, n)
+    check_pair(params, m, n)
     d = math.gcd(m, n)
     lcm = math.lcm(m, n)
     ud = u_exact(params, d)
@@ -62,7 +48,7 @@ def tau_um_un(params: LucasParams, m: int, n: int) -> ClosedFormResult:
 
 def tau_vm_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     """tau(V_m * V_n) for m, n >= 3."""
-    _check_pair(params, m, n)
+    check_pair(params, m, n)
     d = math.gcd(m, n)
     lcm = math.lcm(m, n)
     g = gcd_vv(params, m, n)
@@ -76,7 +62,7 @@ def tau_vm_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
             single, cond = False, "2!|b,2!|a,3!|d"
     elif d % 2 == 0:
         single, cond = True, "2!|b,2|a,2|d"
-    elif _nu2(m) != _nu2(n):
+    elif nu2(m) != nu2(n):
         single, cond = True, "2!|b,2|a,2!|d,nu2!="
     else:
         single, cond = False, "2!|b,2|a,2!|d,nu2="
@@ -94,11 +80,7 @@ def tau_vm_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
 
 def tau_triple(params: LucasParams, n: int, p: int) -> ClosedFormResult:
     """tau(U_n * U_{n+p} * U_{n+2p}) for n >= 1 and odd prime p."""
-    if not params.theorem_eligible:
-        raise NotEligible(
-            f"(a, b) = ({params.a}, {params.b}) needs a > 0 and delta > 0, "
-            f"got delta = {params.delta}"
-        )
+    require_eligible(params)
     if p < 3 or not rank.is_prime(p):
         raise NotOddPrime(f"need an odd prime, got {p}")
     if n < 1:

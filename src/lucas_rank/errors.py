@@ -53,8 +53,8 @@ class NotAMultiple(LucasRankError):
     """The claimed index is not a multiple of the rank of apparition."""
 
 
-class BadRange(LucasRankError):
-    """An index argument is outside the range the formula covers."""
+class BadRange(LucasRankError, ValueError):
+    """An argument is outside the range the operation covers."""
 
 
 class NotOddPrime(LucasRankError):

@@ -11,8 +11,8 @@ ambiguous "1 or 2" branches are resolved by the parity rules
 import math
 from dataclasses import dataclass
 
-from .errors import BadRange, NotEligible
-from .lucas_core import LucasParams, u_exact, v_exact
+from .errors import BadRange
+from .lucas_core import LucasParams, nu2, require_eligible, u_exact, v_exact
 
 
 @dataclass(frozen=True)
@@ -22,32 +22,25 @@ class GcdWitness:
     d: int
 
 
-def _nu2(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
-def _check(params: LucasParams, m: int, n: int) -> None:
-    if not params.theorem_eligible:
-        raise NotEligible(
-            f"(a, b) = ({params.a}, {params.b}) needs a > 0 and delta > 0, "
-            f"got delta = {params.delta}"
-        )
+def check_pair(params: LucasParams, m: int, n: int) -> None:
+    """Refuse ineligible params, then index pairs below 3."""
+    require_eligible(params)
     if m < 3 or n < 3:
         raise BadRange(f"indices must be >= 3, got ({m}, {n})")
 
 
 def gcd_uu(params: LucasParams, m: int, n: int) -> GcdWitness:
     """gcd(U_m, U_n) = U_{gcd(m, n)}."""
-    _check(params, m, n)
+    check_pair(params, m, n)
     d = math.gcd(m, n)
     return GcdWitness(abs(u_exact(params, d)), "U_d", d)
 
 
 def gcd_vv(params: LucasParams, m: int, n: int) -> GcdWitness:
     """gcd(V_m, V_n): V_d when the indices carry the same power of 2, else 1 or 2."""
-    _check(params, m, n)
+    check_pair(params, m, n)
     d = math.gcd(m, n)
-    if _nu2(m) == _nu2(n):
+    if nu2(m) == nu2(n):
         return GcdWitness(abs(v_exact(params, d)), "V_d", d)
     if params.a % 2 == 0 or (params.b % 2 != 0 and d % 3 == 0):
         return GcdWitness(2, "2", d)
@@ -56,9 +49,9 @@ def gcd_vv(params: LucasParams, m: int, n: int) -> GcdWitness:
 
 def gcd_uv(params: LucasParams, m: int, n: int) -> GcdWitness:
     """gcd(U_m, V_n): V_d when m carries strictly more 2s than n, else 1 or 2."""
-    _check(params, m, n)
+    check_pair(params, m, n)
     d = math.gcd(m, n)
-    if _nu2(m) > _nu2(n):
+    if nu2(m) > nu2(n):
         return GcdWitness(abs(v_exact(params, d)), "V_d", d)
     if (params.a % 2 == 0 and m % 2 == 0) or (
         params.a % 2 != 0 and params.b % 2 != 0 and d % 3 == 0
@@ -69,11 +62,11 @@ def gcd_uv(params: LucasParams, m: int, n: int) -> GcdWitness:
 
 def divides_uu(params: LucasParams, n: int, m: int) -> bool:
     """Whether U_n | U_m, which for eligible params is exactly n | m."""
-    _check(params, n, m)
+    check_pair(params, n, m)
     return m % n == 0
 
 
 def divides_vu(params: LucasParams, n: int, m: int) -> bool:
     """Whether V_n | U_m: n | m with an even quotient."""
-    _check(params, n, m)
+    check_pair(params, n, m)
     return m % n == 0 and (m // n) % 2 == 0

@@ -9,7 +9,7 @@ ladder, so the two paths can be checked against each other.
 import math
 from dataclasses import dataclass
 
-from .errors import Degenerate, NotCoprime, TooLarge, ZeroModulus
+from .errors import BadRange, Degenerate, NotCoprime, NotEligible, TooLarge, ZeroModulus
 
 EXACT_INDEX_CAP = 10 ** 6
 MOD_INDEX_CAP = 2 ** 63 - 1
@@ -49,9 +49,33 @@ def make_params(a: int, b: int) -> LucasParams:
     return LucasParams(a=a, b=b, delta=delta, theorem_eligible=(a > 0 and delta > 0))
 
 
+def require_eligible(params: LucasParams) -> None:
+    """Refuse params outside the closed forms' hypotheses (a > 0, delta > 0)."""
+    if not params.theorem_eligible:
+        raise NotEligible(
+            f"(a, b) = ({params.a}, {params.b}) needs a > 0 and delta > 0, "
+            f"got delta = {params.delta}"
+        )
+
+
+def nu(p: int, x: int) -> int:
+    """Exponent of the prime p in the nonzero integer x."""
+    e = 0
+    x = abs(x)
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
+def nu2(x: int) -> int:
+    """Exponent of 2 in the nonzero integer x, from its lowest set bit."""
+    return (x & -x).bit_length() - 1
+
+
 def _iterate(params: LucasParams, n: int, x0: int, x1: int) -> int:
     if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+        raise BadRange(f"index must be nonnegative, got {n}")
     if n > EXACT_INDEX_CAP:
         raise TooLarge(f"exact evaluation is capped at index {EXACT_INDEX_CAP}, got {n}")
     a, b = params.a, params.b
@@ -85,9 +109,9 @@ def uv_mod(params: LucasParams, n: int, modulus: int) -> tuple[int, int]:
     if modulus == 0:
         raise ZeroModulus("modulus must be positive")
     if modulus < 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+        raise BadRange(f"modulus must be positive, got {modulus}")
     if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+        raise BadRange(f"index must be nonnegative, got {n}")
     if n > MOD_INDEX_CAP:
         raise TooLarge(f"modular evaluation is capped at index {MOD_INDEX_CAP}, got {n}")
     a = params.a % modulus

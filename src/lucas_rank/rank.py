@@ -12,8 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import NotAMultiple, NotCoprimeToB, NotFound, NotPrime, TooLarge
-from .lucas_core import LucasParams, uv_mod
+from .errors import BadRange, NotAMultiple, NotCoprimeToB, NotFound, NotPrime, TooLarge
+from .lucas_core import LucasParams, nu, uv_mod
 
 FACTOR_BOUND = 2 ** 96
 _TRIAL_LIMIT = 10_000
@@ -116,7 +116,7 @@ def factorize(x: int, *, bound: int = FACTOR_BOUND, seed: int = 0) -> Factorizat
     Raises TooLarge for x above `bound` (default 2^96).
     """
     if x < 2:
-        raise ValueError(f"need x >= 2, got {x}")
+        raise BadRange(f"need x >= 2, got {x}")
     if x > bound:
         raise TooLarge(f"{x} exceeds the factoring bound {bound}")
     n = x
@@ -145,24 +145,15 @@ def factorize(x: int, *, bound: int = FACTOR_BOUND, seed: int = 0) -> Factorizat
     return Factorization(x, tuple(sorted(counts.items())))
 
 
-def _nu(p: int, x: int) -> int:
-    e = 0
-    x = abs(x)
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
 def nu_in_u(params: LucasParams, p: int, k: int) -> int:
     """v_p(U_k) for k >= 1, computed from residues mod growing powers of p."""
     if k < 1:
-        raise ValueError("U_0 = 0 has no finite valuation")
+        raise BadRange("U_0 = 0 has no finite valuation")
     e = 8
     while True:
         r = uv_mod(params, k, p ** e)[0]
         if r:
-            return _nu(p, r)
+            return nu(p, r)
         e *= 2
 
 
@@ -173,7 +164,7 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     and NotFound when the cap is exhausted.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise BadRange(f"need m >= 1, got {m}")
     if math.gcd(m, params.b) != 1:
         raise NotCoprimeToB(f"gcd({m}, {params.b}) > 1, rank undefined")
     am = params.a % m
@@ -233,36 +224,20 @@ def tau_prime(params: LucasParams, p: int, *, seed: int = 0) -> TauResult:
 
 def tau_prime_power(params: LucasParams, p: int, e: int, *, seed: int = 0) -> TauResult:
     """tau(p^e) by lifting tau(p) with the valuation of U at the entry point."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if e < 1:
-        raise ValueError(f"need e >= 1, got {e}")
-    if params.b % p == 0:
-        raise NotCoprimeToB(f"{p} divides b = {params.b}")
-    a, b = params.a, params.b
-    if p == 2:
-        if a % 2 == 0:
-            value = 2 ** max(1, e - _nu(2, a) + 1)
-        else:
-            u3 = a * a + b  # U_3
-            if e <= _nu(2, u3):
-                value = 3
-            else:
-                u6 = a * u3 * (a * a + 3 * b)  # U_6
-                value = 6 * 2 ** max(0, e - _nu(2, u6))
-        return TauResult(value, "factorization-lift")
-    if params.delta % p == 0:
-        value = p ** max(1, e - nu_in_u(params, p, p) + 1)
-        return TauResult(value, "factorization-lift")
+    if e < 1 and is_prime(p):  # a non-prime p is refused by tau_prime before e is
+        raise BadRange(f"need e >= 1, got {e}")
     t = tau_prime(params, p, seed=seed).value
-    value = t * p ** max(0, e - nu_in_u(params, p, t))
-    return TauResult(value, "factorization-lift")
+    lift = e - nu_in_u(params, p, t)
+    if p == 2 and t == 3 and lift > 0:
+        # odd a: U_{3j} with j odd has the 2-adic weight of U_3, so lift from U_6
+        t, lift = 6, e - nu_in_u(params, 2, 6)
+    return TauResult(t * p ** max(0, lift), "factorization-lift")
 
 
 def tau(params: LucasParams, m: int, *, bound: int = FACTOR_BOUND, seed: int = 0) -> TauResult:
     """tau(m) as the lcm of the prime-power ranks dividing m."""
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise BadRange(f"need m >= 1, got {m}")
     if math.gcd(m, params.b) != 1:
         raise NotCoprimeToB(f"gcd({m}, {params.b}) > 1, rank undefined")
     if m == 1:
@@ -282,9 +257,9 @@ def tau_min_divisor_oracle(
     raises NotAMultiple rather than silently passing through.
     """
     if target < 2:
-        raise ValueError(f"need target >= 2, got {target}")
+        raise BadRange(f"need target >= 2, got {target}")
     if multiple < 1:
-        raise ValueError(f"need multiple >= 1, got {multiple}")
+        raise BadRange(f"need multiple >= 1, got {multiple}")
     if math.gcd(target, params.b) != 1:
         raise NotCoprimeToB(f"gcd(target, {params.b}) > 1, rank undefined")
     if uv_mod(params, multiple, target)[0] != 0:

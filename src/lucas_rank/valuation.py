@@ -9,8 +9,8 @@ form covers them.
 from dataclasses import dataclass
 
 from . import rank
-from .errors import NotPrime, PrimeDividesB, ZeroArgument
-from .lucas_core import LucasParams, u_exact
+from .errors import BadRange, NotPrime, PrimeDividesB, ZeroArgument
+from .lucas_core import LucasParams, nu, u_exact
 
 
 @dataclass(frozen=True)
@@ -25,21 +25,12 @@ def _require_prime(p: int) -> None:
         raise NotPrime(f"{p} is not prime")
 
 
-def _nu(p: int, x: int) -> int:
-    e = 0
-    x = abs(x)
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
 def nu_int(p: int, x: int) -> Valuation:
     """v_p(x) for a nonzero integer x."""
     _require_prime(p)
     if x == 0:
         raise ZeroArgument("0 has no finite valuation")
-    return Valuation(_nu(p, x), p)
+    return Valuation(nu(p, x), p)
 
 
 def _check_args(params: LucasParams, p: int, n: int) -> None:
@@ -49,7 +40,7 @@ def _check_args(params: LucasParams, p: int, n: int) -> None:
     if n == 0:
         raise ZeroArgument("index 0 is outside the formulas")
     if n < 0:
-        raise ValueError(f"index must be positive, got {n}")
+        raise BadRange(f"index must be positive, got {n}")
 
 
 def nu_u(params: LucasParams, p: int, n: int) -> Valuation:
@@ -59,20 +50,20 @@ def nu_u(params: LucasParams, p: int, n: int) -> Valuation:
     if p == 2:
         if a % 2 == 0:
             if n % 2 == 0:
-                return Valuation(_nu(2, n) + _nu(2, a) - 1, 2, "2|a,2|n")
+                return Valuation(nu(2, n) + nu(2, a) - 1, 2, "2|a,2|n")
             return Valuation(0, 2, "2|a,2!|n")
         if n % 3 != 0:
             return Valuation(0, 2, "2!|a,3!|n")
         if n % 2 == 0:
-            return Valuation(_nu(2, n) + _nu(2, u_exact(params, 6)) - 1, 2, "2!|a,3|n,2|n")
-        return Valuation(_nu(2, u_exact(params, 3)), 2, "2!|a,3|n,2!|n")
+            return Valuation(nu(2, n) + nu(2, u_exact(params, 6)) - 1, 2, "2!|a,3|n,2|n")
+        return Valuation(nu(2, u_exact(params, 3)), 2, "2!|a,3|n,2!|n")
     if params.delta % p == 0:
         if n % p == 0:
-            return Valuation(_nu(p, n) + rank.nu_in_u(params, p, p) - 1, p, "p|delta,p|n")
+            return Valuation(nu(p, n) + rank.nu_in_u(params, p, p) - 1, p, "p|delta,p|n")
         return Valuation(0, p, "p|delta,p!|n")
     t = rank.tau_prime(params, p).value
     if n % t == 0:
-        return Valuation(_nu(p, n) + rank.nu_in_u(params, p, t), p, "p!|delta,tau|n")
+        return Valuation(nu(p, n) + rank.nu_in_u(params, p, t), p, "p!|delta,tau|n")
     return Valuation(0, p, "p!|delta,tau!|n")
 
 
@@ -84,14 +75,14 @@ def nu_v(params: LucasParams, p: int, n: int) -> Valuation:
         if a % 2 == 0:
             if n % 2 == 0:
                 return Valuation(1, 2, "2|a,2|n")
-            return Valuation(_nu(2, a), 2, "2|a,2!|n")
+            return Valuation(nu(2, a), 2, "2|a,2!|n")
         if n % 3 != 0:
             return Valuation(0, 2, "2!|a,3!|n")
         if n % 2 == 0:
             return Valuation(1, 2, "2!|a,3|n,2|n")
-        return Valuation(_nu(2, a * a + 3 * b), 2, "2!|a,3|n,2!|n")
+        return Valuation(nu(2, a * a + 3 * b), 2, "2!|a,3|n,2!|n")
     if params.delta % p != 0:
         t = rank.tau_prime(params, p).value
         if n % t != 0 and (2 * n) % t == 0:
-            return Valuation(_nu(p, n) + rank.nu_in_u(params, p, t), p, "tau!|n,tau|2n")
+            return Valuation(nu(p, n) + rank.nu_in_u(params, p, t), p, "tau!|n,tau|2n")
     return Valuation(0, p, "otherwise")

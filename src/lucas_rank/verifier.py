@@ -11,18 +11,85 @@ so the two routes stay independent.
 import csv
 import io
 import json
+import os
 import time
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import closed_form, rank
-from .errors import NotAMultiple, NotEligible, NotFound
+from .errors import BadRange, NotAMultiple, NotEligible, NotFound
 from .gcd_identities import divides_uu, divides_vu
 from .lucas_core import LucasParams, make_params, u_exact, v_exact
 
-PAIR_THEOREMS = ("um-vn", "um-un", "vm-vn")
-THEOREMS = PAIR_THEOREMS + ("triple",)
+
+def _pair_grid(ranges: dict) -> list[dict]:
+    (m_lo, m_hi), (n_lo, n_hi) = ranges["m"], ranges["n"]
+    return [
+        {"m": m, "n": n}
+        for m in range(m_lo, m_hi + 1)
+        for n in range(n_lo, n_hi + 1)
+    ]
+
+
+def _triple_grid(ranges: dict) -> list[dict]:
+    n_lo, n_hi = ranges["n"]
+    return [{"n": n, "p": p} for p in ranges["p"] for n in range(n_lo, n_hi + 1)]
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One product closed form: how to evaluate it, recompute it and sweep it."""
+
+    closed_form: str  # function name in `closed_form`, looked up on each call
+    keys: tuple[str, ...]  # point keys in argument order; also the CLI flags
+    terms: tuple  # factors of the product: ("U" | "V", index as a function of the keys)
+    grid: Callable[[dict], list[dict]]
+    defaults: dict
+    labels: frozenset
+
+    def evaluate(self, params: LucasParams, point: dict):
+        """The ClosedFormResult at one point; extra keys in `point` are ignored."""
+        # looked up on the module at call time so one formula can be swapped out
+        fn = getattr(closed_form, self.closed_form)
+        return fn(params, *map(point.__getitem__, self.keys))
+
+    def product(self, params: LucasParams, point: dict) -> int:
+        """The product of the terms at a point holding exactly `keys`, computed exactly."""
+        value = 1
+        for kind, index in self.terms:
+            value *= (u_exact if kind == "U" else v_exact)(params, index(**point))
+        return value
+
+
+_PAIR_DEFAULTS = {"m": (3, 20), "n": (3, 20)}
+
+THEOREM_TABLE = {
+    "um-vn": Theorem(
+        "tau_um_vn", ("m", "n"),
+        (("U", lambda m, n: m), ("V", lambda m, n: n)),
+        _pair_grid, _PAIR_DEFAULTS, frozenset({"2lcm", "lcm*V_d"}),
+    ),
+    "um-un": Theorem(
+        "tau_um_un", ("m", "n"),
+        (("U", lambda m, n: m), ("U", lambda m, n: n)),
+        _pair_grid, _PAIR_DEFAULTS, frozenset({"lcm*U_d"}),
+    ),
+    "vm-vn": Theorem(
+        "tau_vm_vn", ("m", "n"),
+        (("V", lambda m, n: m), ("V", lambda m, n: n)),
+        _pair_grid, _PAIR_DEFAULTS, frozenset({"lcm*gcd", "2lcm*gcd"}),
+    ),
+    "triple": Theorem(
+        "tau_triple", ("n", "p"),
+        (("U", lambda n, p: n), ("U", lambda n, p: n + p), ("U", lambda n, p: n + 2 * p)),
+        _triple_grid, {"n": (1, 60), "p": (3, 5, 7)},
+        frozenset({"p!|n,2!|n", "p!|n,2|n", "p|n,2!|n", "p|n,2|n"}),
+    ),
+}
+THEOREMS = tuple(THEOREM_TABLE)
+PAIR_THEOREMS = tuple(t for t, th in THEOREM_TABLE.items() if th.grid is _pair_grid)
 ORACLES = ("divisor-minimality", "scan")
 
 # Closed-form values below this get the extra definitional scan.
@@ -57,48 +124,9 @@ class SweepReport:
 
 
 def default_ranges(theorem: str) -> dict:
-    if theorem == "triple":
-        return {"n": (1, 60), "p": (3, 5, 7)}
-    return {"m": (3, 20), "n": (3, 20)}
-
-
-def _points(theorem: str, ranges: dict) -> list[dict]:
-    if theorem == "triple":
-        n_lo, n_hi = ranges["n"]
-        return [{"n": n, "p": p} for p in ranges["p"] for n in range(n_lo, n_hi + 1)]
-    m_lo, m_hi = ranges["m"]
-    n_lo, n_hi = ranges["n"]
-    return [
-        {"m": m, "n": n}
-        for m in range(m_lo, m_hi + 1)
-        for n in range(n_lo, n_hi + 1)
-    ]
-
-
-def _closed(params: LucasParams, theorem: str, point: dict):
-    # dispatched through the module so tests can monkeypatch one formula
-    if theorem == "um-vn":
-        return closed_form.tau_um_vn(params, point["m"], point["n"])
-    if theorem == "um-un":
-        return closed_form.tau_um_un(params, point["m"], point["n"])
-    if theorem == "vm-vn":
-        return closed_form.tau_vm_vn(params, point["m"], point["n"])
-    if theorem == "triple":
-        return closed_form.tau_triple(params, point["n"], point["p"])
-    raise ValueError(f"unknown theorem tag: {theorem}")
-
-
-def _product(params: LucasParams, theorem: str, point: dict) -> int:
-    if theorem == "um-vn":
-        return u_exact(params, point["m"]) * v_exact(params, point["n"])
-    if theorem == "um-un":
-        return u_exact(params, point["m"]) * u_exact(params, point["n"])
-    if theorem == "vm-vn":
-        return v_exact(params, point["m"]) * v_exact(params, point["n"])
-    n, p = point["n"], point["p"]
-    return (
-        u_exact(params, n) * u_exact(params, n + p) * u_exact(params, n + 2 * p)
-    )
+    if theorem not in THEOREM_TABLE:
+        raise BadRange(f"unknown theorem tag: {theorem}")
+    return dict(THEOREM_TABLE[theorem].defaults)
 
 
 def _scan(params: LucasParams, target: int, cap: int) -> int | None:
@@ -112,9 +140,10 @@ def _evaluate_cell(args) -> SweepCell:
     params, theorem, point, oracle, scan_below, seed = args
     start = time.perf_counter()
     inputs = dict(point)
-    result = _closed(params, theorem, point)
+    th = THEOREM_TABLE[theorem]
+    result = th.evaluate(params, point)
     claimed = result.value
-    target = _product(params, theorem, point)
+    target = th.product(params, point)
     if oracle == "divisor-minimality":
         try:
             got = rank.tau_min_divisor_oracle(params, target, claimed, seed=seed).value
@@ -125,14 +154,11 @@ def _evaluate_cell(args) -> SweepCell:
             if got == claimed and claimed < scan_below:
                 inputs["scan_checked"] = True
                 got = _scan(params, target, claimed)
-    elif oracle == "scan":
-        if claimed > _SCAN_HARD_CAP:
-            inputs["oracle_cap_hit"] = True
-            got = None
-        else:
-            got = _scan(params, target, claimed)
+    elif claimed > _SCAN_HARD_CAP:  # the "scan" oracle
+        inputs["oracle_cap_hit"] = True
+        got = None
     else:
-        raise ValueError(f"unknown oracle: {oracle}")
+        got = _scan(params, target, claimed)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SweepCell(
         inputs=inputs,
@@ -155,6 +181,11 @@ def _summarize(cells: list[SweepCell]) -> SweepSummary:
     )
 
 
+def _worker_count(jobs: int, cells: int) -> int:
+    """Worker processes for a sweep: never more than the CPUs or the cells."""
+    return min(jobs, os.cpu_count() or 1, cells)
+
+
 def sweep(
     params: LucasParams,
     theorem: str,
@@ -167,24 +198,24 @@ def sweep(
 ) -> SweepReport:
     """Check one closed form over a grid; see module docstring.
 
-    `ranges` overrides the defaults ({"m": (3, 20), "n": (3, 20)} for the
-    pair forms, {"n": (1, 60), "p": (3, 5, 7)} for the triple).  Cells
-    are independent, so jobs > 1 evaluates them in worker processes;
-    the report keeps deterministic input order either way.
+    `ranges` overrides the theorem's default ranges key by key
+    ({"m": (3, 20), "n": (3, 20)} for the pair forms, {"n": (1, 60),
+    "p": (3, 5, 7)} for the triple).  Cells are independent, so jobs > 1
+    evaluates them in worker processes, at most one per CPU and per
+    cell; the report keeps deterministic input order either way.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem tag: {theorem}")
-    if oracle not in ORACLES:
-        raise ValueError(f"unknown oracle: {oracle}")
     grid = default_ranges(theorem)
+    if oracle not in ORACLES:
+        raise BadRange(f"unknown oracle: {oracle}")
     grid.update(ranges or {})
     work = [
         (params, theorem, point, oracle, scan_below, seed)
-        for point in _points(theorem, grid)
+        for point in THEOREM_TABLE[theorem].grid(grid)
     ]
-    if jobs > 1:
-        chunk = max(1, len(work) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(work))
+    if workers > 1:
+        chunk = max(1, len(work) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_evaluate_cell, work, chunksize=chunk))
     else:
         cells = [_evaluate_cell(w) for w in work]
@@ -202,10 +233,9 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
     params = make_params(1, 1)
     start = time.perf_counter()
     n, p = 50, 5
-    result = closed_form.tau_triple(params, n, p)
-    target = (
-        u_exact(params, n) * u_exact(params, n + p) * u_exact(params, n + 2 * p)
-    )
+    triple = THEOREM_TABLE["triple"]
+    result = triple.evaluate(params, {"n": n, "p": p})
+    target = triple.product(params, {"n": n, "p": p})
     got = rank.tau_min_divisor_oracle(params, target, result.value, seed=seed).value
     alternative = (
         n * (n + p) * (n + 2 * p) // (2 * p * p)

@@ -25,13 +25,14 @@ from lucas_rank.rank import tau, tau_min_divisor_oracle, tau_scan
 from lucas_rank.valuation import nu_u, nu_v
 from lucas_rank.verifier import (
     PAIR_THEOREMS,
+    THEOREM_TABLE,
     check_delta_negative_fixtures,
     reproduce_remark,
     sweep,
 )
 
 PARAMS_GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
-TRIPLE_LABELS = {"p!|n,2!|n", "p!|n,2|n", "p|n,2!|n", "p|n,2|n"}
+TRIPLE_LABELS = THEOREM_TABLE["triple"].labels
 
 
 @pytest.fixture()
@@ -86,6 +87,10 @@ def test_pair_theorem_sweeps(announce):
     start = time.perf_counter()
     total = agreed = disagreed = 0
     bad = []
+    # Some pairs reach only part of a theorem's branches (vm-vn gives
+    # only 2lcm*gcd at (1, 2) and (3, 2)), so coverage is checked over
+    # the whole grid.
+    labels = {theorem: set() for theorem in PAIR_THEOREMS}
     for a, b in PARAMS_GRID:
         params = make_params(a, b)
         for theorem in PAIR_THEOREMS:
@@ -93,13 +98,18 @@ def test_pair_theorem_sweeps(announce):
             total += report.summary.total
             agreed += report.summary.agreed
             disagreed += report.summary.disagreed
+            labels[theorem].update(c.case_label for c in report.cells)
             bad.extend(
                 (a, b, theorem, c.inputs) for c in report.cells if not c.agree
             )
     elapsed = time.perf_counter() - start
-    ok = disagreed == 0 and total == len(PARAMS_GRID) * 3 * 18 * 18
+    coverage_ok = all(labels[t] == THEOREM_TABLE[t].labels for t in PAIR_THEOREMS)
+    if not coverage_ok:
+        bad.append({t: sorted(labels[t]) for t in PAIR_THEOREMS})
+    ok = disagreed == 0 and coverage_ok and total == len(PARAMS_GRID) * 3 * 18 * 18
     announce("pair-theorem-sweep", ok, elapsed,
-             f"cells={total} agreed={agreed} disagreed={disagreed}")
+             f"cells={total} agreed={agreed} disagreed={disagreed} "
+             f"all-branches={coverage_ok}")
     assert ok, bad[:10]
 
 

@@ -5,13 +5,16 @@ import json
 import pytest
 
 import lucas_rank.closed_form as closed_form
+import lucas_rank.verifier as verifier
 from lucas_rank.closed_form import ClosedFormResult
 from lucas_rank.errors import NotEligible
 from lucas_rank.lucas_core import make_params
 from lucas_rank.verifier import (
     DEFAULT_SCAN_BELOW,
     PAIR_THEOREMS,
+    THEOREM_TABLE,
     THEOREMS,
+    _worker_count,
     check_delta_negative_fixtures,
     default_ranges,
     report_from_dict,
@@ -86,6 +89,69 @@ class TestSweep:
         assert default_ranges("um-un") == {"m": (3, 20), "n": (3, 20)}
         assert default_ranges("triple") == {"n": (1, 60), "p": (3, 5, 7)}
         assert set(PAIR_THEOREMS) == {"um-vn", "um-un", "vm-vn"}
+
+    def test_partial_ranges_keep_other_defaults(self):
+        report = sweep(FIB, "triple", {"p": (3,)}, scan_below=0)
+        assert [c.inputs["n"] for c in report.cells] == list(range(1, 61))
+
+
+class TestTheoremTable:
+    def test_order_and_label_sets(self):
+        assert THEOREMS == ("um-vn", "um-un", "vm-vn", "triple")
+        assert {t: set(th.labels) for t, th in THEOREM_TABLE.items()} == {
+            "um-vn": {"2lcm", "lcm*V_d"},
+            "um-un": {"lcm*U_d"},
+            "vm-vn": {"lcm*gcd", "2lcm*gcd"},
+            "triple": {"p!|n,2!|n", "p!|n,2|n", "p|n,2!|n", "p|n,2|n"},
+        }
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_product_matches_terms(self, theorem):
+        point = dict(zip(THEOREM_TABLE[theorem].keys, (9, 5)))
+        u, v = [0, 1], [2, 1]
+        while len(u) < 20:
+            u.append(u[-1] + u[-2])
+            v.append(v[-1] + v[-2])
+        want = {
+            "um-vn": u[9] * v[5],
+            "um-un": u[9] * u[5],
+            "vm-vn": v[9] * v[5],
+            "triple": u[9] * u[14] * u[19],
+        }[theorem]
+        assert THEOREM_TABLE[theorem].product(FIB, point) == want
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "jobs, cpus, cells, want",
+        [(64, 2, 100, 2), (1, 8, 100, 1), (4, 8, 3, 3), (4, None, 100, 1), (3, 8, 100, 3)],
+    )
+    def test_clamped_to_cpus_and_cells(self, monkeypatch, jobs, cpus, cells, want):
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+        assert _worker_count(jobs, cells) == want
+
+    def test_sweep_uses_the_clamped_count(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work, chunksize):
+                return map(fn, work)
+
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        report = sweep(FIB, "um-un", {"m": (3, 4), "n": (3, 4)}, jobs=64)
+        assert started == [2] and report.summary.agreed == 4
+        report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, jobs=64)
+        assert started == [2] and report.summary.agreed == 1
 
 
 class TestDisagreementPath:
