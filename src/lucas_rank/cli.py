@@ -309,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)  # print U_n and V_n of any length
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -1,12 +1,14 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import sys
 
 import pytest
 
 import lucas_rank.closed_form as closed_form
 from lucas_rank.cli import run
 from lucas_rank.closed_form import ClosedFormResult
+from lucas_rank.lucas_core import make_params, u_exact, v_exact
 
 
 def _run(capsys, *argv):
@@ -45,6 +47,26 @@ class TestSeq:
         assert code == 0
         assert out.strip() == str(u0)
         assert len(out.strip()) > 80
+
+    @pytest.fixture
+    def int_str_limit(self):
+        """Leave the interpreter's int/str digit limit as it was after the test."""
+        if not hasattr(sys, "get_int_max_str_digits"):
+            yield
+            return
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, which U_30000 passes
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_past_the_int_str_digit_limit(self, capsys, int_str_limit):
+        fib = make_params(1, 1)
+        code, out, err = _run(capsys, "seq", "u", "--n", "30000")
+        assert (code, err) == (0, "")
+        assert len(out) > 6000 and int(out) == u_exact(fib, 30000)
+        code, out, err = _run(capsys, "seq", "v", "--n", "30000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"kind": "V", "index": 30000, "value": v_exact(fib, 30000)}
 
     def test_mod_big_index(self, capsys):
         code, out, _ = _run(

@@ -1,21 +1,27 @@
 """Tests for factoring and rank-of-apparition computation."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucas_rank.errors import (
+    BadRange,
+    LucasRankError,
     NotAMultiple,
     NotCoprimeToB,
     NotFound,
     NotPrime,
     TooLarge,
 )
-from lucas_rank.lucas_core import make_params, u_exact
+from lucas_rank.lucas_core import make_params, nu, u_exact, uv_mod
 from lucas_rank.rank import (
     FACTOR_BOUND,
     Factorization,
     TauResult,
+    _Lanes,
     factorize,
     is_prime,
     nu_in_u,
@@ -145,6 +151,165 @@ class TestTauScan:
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):
             tau_scan(make_params(1, 1), 0, cap=100)
+
+
+def _reference_scan(params, m, cap):
+    """The definitional scan stepped one index at a time: the oracle for `tau_scan`."""
+    if m < 1:
+        raise BadRange(f"need m >= 1, got {m}")
+    if math.gcd(m, params.b) != 1:
+        raise NotCoprimeToB(f"gcd({m}, {params.b}) > 1, rank undefined")
+    am = params.a % m
+    bm = params.b % m
+    u0, u1 = 0, 1 % m
+    k = 0
+    while k < cap:
+        k += 1
+        u0, u1 = u1, (am * u1 + bm * u0) % m
+        if u0 == 0:
+            return TauResult(k, "linear-scan")
+    raise NotFound(f"no index k <= {cap} with {m} | U_k")
+
+
+def _outcome(fn, params, m, cap):
+    try:
+        return fn(params, m, cap)
+    except (BadRange, NotCoprimeToB, NotFound) as exc:
+        return type(exc)
+
+
+_MID_PRIMES = [p for p in range(10_001, 20_000, 2) if _is_prime_slow(p)]
+_SMOOTH_PRIMES = [p for p in range(2, 1000) if _is_prime_slow(p)]
+_REACH = 2000  # the reference scans at most this far per drawn input
+
+
+
+def _valid(ab):
+    try:
+        make_params(*ab)
+    except LucasRankError:
+        return False
+    return True
+
+
+# (a, b) with |a|, |b| <= 10^6, coprime and non-degenerate; delta < 0 included
+_params_st = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(_valid)
+
+
+@st.composite
+def _moduli(draw, params):
+    kind = draw(st.sampled_from(
+        ["small", "pow2", "2^e*odd", "big-small-factor", "no-small-factor", "200-bit",
+         "smooth-divisor"]))
+    if kind == "small":
+        return draw(st.integers(1, 5000))
+    if kind == "pow2":
+        return 2 ** draw(st.integers(0, 80))
+    if kind == "2^e*odd":
+        return 2 ** draw(st.integers(1, 40)) * (2 * draw(st.integers(0, 10**6)) + 1)
+    if kind == "big-small-factor":
+        return draw(st.sampled_from([2, 3, 5, 7, 8, 9, 25, 9973])) * draw(
+            st.integers(2**24, 2**70))
+    if kind == "no-small-factor":
+        return math.prod(draw(st.lists(st.sampled_from(_MID_PRIMES), min_size=2, max_size=4)))
+    if kind == "200-bit":
+        return draw(st.integers(2**199, 2**200 - 1))
+    # the part of U_k made of primes below 1000: its rank divides k, past the prefix
+    k = draw(st.integers(257, _REACH))
+    m = 1
+    for p in _SMOOTH_PRIMES:
+        r = uv_mod(params, k, p**8)[0]
+        m *= p ** (8 if r == 0 else nu(p, r))
+    return m
+
+
+class TestBlockScan:
+    """`tau_scan` against the one-index-at-a-time reference, around its block edges."""
+
+    @given(_params_st, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, ab, data):
+        params = make_params(*ab)
+        m = data.draw(_moduli(params))
+        try:
+            answer = _reference_scan(params, m, _REACH).value
+        except (NotCoprimeToB, NotFound):
+            answer = None
+        # caps up to 1024 step one index at a time; above, B = 256 for every cap
+        # here: the prefix ends at 256 and blocks at 512, 768, 1024, 1280, ...
+        caps = {1, 255, 256, 257, 1023, 1024, 1025, 1279, 1280, 1281, 1535, 1536, 1537}
+        caps.add(data.draw(st.integers(0, _REACH)))
+        if answer is not None:
+            caps |= {answer - 1, answer, answer + 1}
+        for cap in sorted(caps):
+            assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+
+    @pytest.mark.parametrize(
+        "a,b,m,cap",
+        [
+            (1, 1, 16_776_623, 250_000),  # 24-bit prime, d = m, answer 202128, B = 500
+            (3, -1, 199_999, 120_000),  # answer 99999, B = 346
+            (1, 1, 2**17, 200_000),  # d = m = 2^17, answer 196608, B = 447
+            (1, 1, 3**11 * 17 * 19 * 53, 250_000),  # d = 3^11 * 17, answer 236196
+            (1, 1, 2**40, 100_000),  # d = 2^23, no answer below the cap
+            (1, -3, 2**10 * 10_007 * 10_009, 200_000),  # d = 2^10: many lanes to confirm
+        ],
+    )
+    def test_larger_blocks(self, a, b, m, cap):
+        params = make_params(a, b)
+        assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, -1)])
+    def test_no_small_factor_steps_to_the_answer(self, a, b):
+        # every prime factor q of U_p (p prime, p not dividing delta) has rank p,
+        # so q = +-1 mod p and U_5003 has no prime factor below 10^4
+        params = make_params(a, b)
+        m = abs(u_exact(params, 5003))
+        assert math.gcd(m, math.prod(p for p in range(2, 10_000) if _is_prime_slow(p))) == 1
+        assert tau_scan(params, m, 5003) == TauResult(5003, "linear-scan")
+        with pytest.raises(NotFound):
+            tau_scan(params, m, 5002)
+
+    def test_200_bit_answer_past_the_prefix(self):
+        params = make_params(1, 1)
+        m = u_exact(params, 289)  # 200 bits; its primes below 10^4 are 577, 1597, 1733
+        assert m.bit_length() == 200
+        assert tau_scan(params, m, 2000).value == 289  # B = 256: found in the first block
+        assert tau_scan(params, m, 289).value == 289
+        with pytest.raises(NotFound):
+            tau_scan(params, m, 288)
+
+
+class TestLanes:
+    """The packed multiply-by-inverse divisibility check on its own."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [999_983, 3**9 * 7, 2**5 * 3**7, 2**23, 3 * 2**22, 2**24 - 3, 2**24 - 2, 1, 2],
+    )
+    def test_divisible_at_range_edges(self, d):
+        w = 2 * d.bit_length() + 1
+        top = 2**w - 1
+        ys = [0, d, top // d * d, top, d - 1, d + 1, top // d * d - 1, 2 * d, top - 1]
+        ys += [(d - 1) * (d - 1) * 2, 17 * d, 17 * d + 1]
+        ys = [y for y in ys if 0 <= y <= top]
+        lanes = _Lanes(d, [0] * len(ys))
+        assert lanes.width == w
+        inverse = pow(d >> nu(2, d), -1, 2**w)
+        scaled = lanes.pack([y * inverse & top for y in ys])
+        assert lanes.divisible(scaled) == [j for j, y in enumerate(ys) if y % d == 0]
+
+    @pytest.mark.parametrize("d", [12_345_677, 2**24 - 1, 5**10, 2**13 * 2047, 97])
+    def test_hits_match_brute_force(self, d):
+        rng = random.Random(d)
+        n = 300
+        cs = [rng.randrange(d) for _ in range(n)]
+        cs[:5] = [d - 1, d - 1, 0, 1, d - 1]  # largest lane values next to each other
+        lanes = _Lanes(d, cs)
+        prev = [0] + cs[:-1]
+        for x, z in [(d - 1, d - 1), (0, 0), (1, 0), (rng.randrange(d), rng.randrange(d))]:
+            want = [j for j in range(n) if (cs[j] * x + prev[j] * z) % d == 0]
+            assert lanes.hits(x, z) == want
 
 
 class TestTauPrime:
