@@ -309,8 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
-        sys.set_int_max_str_digits(0)  # print U_n and V_n of any length
+    # print U_n and V_n of any length; the limit is process-wide, so put it back
+    if not hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        return _dispatch(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _dispatch(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

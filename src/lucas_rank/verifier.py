@@ -202,8 +202,7 @@ def sweep(
     ({"m": (3, 20), "n": (3, 20)} for the pair forms, {"n": (1, 60),
     "p": (3, 5, 7)} for the triple).  Cells are independent, so jobs > 1
     evaluates them in worker processes, at most one per CPU and per
-    cell, handing out the cells with the largest claimed value first;
-    the report keeps deterministic input order either way.
+    cell; the report keeps deterministic input order either way.
     """
     grid = default_ranges(theorem)
     if oracle not in ORACLES:
@@ -215,15 +214,9 @@ def sweep(
     ]
     workers = _worker_count(jobs, len(work))
     if workers > 1:
-        # a cell's scan runs to its claimed value, so the longest start first
-        th = THEOREM_TABLE[theorem]
-        order = sorted(range(len(work)), reverse=True,
-                       key=lambda i: th.evaluate(params, work[i][2]).value)
-        cells = [None] * len(work)
+        chunk = max(1, len(work) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_evaluate_cell, [work[i] for i in order], chunksize=1)
-            for i, cell in zip(order, done):
-                cells[i] = cell
+            cells = list(pool.map(_evaluate_cell, work, chunksize=chunk))
     else:
         cells = [_evaluate_cell(w) for w in work]
     return SweepReport(params, theorem, cells, _summarize(cells))

@@ -50,23 +50,29 @@ class TestSeq:
 
     @pytest.fixture
     def int_str_limit(self):
-        """Leave the interpreter's int/str digit limit as it was after the test."""
-        if not hasattr(sys, "get_int_max_str_digits"):
-            yield
+        """Run at the default int/str digit limit; put the old limit back after."""
+        if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+            yield None
             return
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)  # the default, which U_30000 passes
-        yield
+        yield 4300
         sys.set_int_max_str_digits(limit)
 
     def test_past_the_int_str_digit_limit(self, capsys, int_str_limit):
         fib = make_params(1, 1)
-        code, out, err = _run(capsys, "seq", "u", "--n", "30000")
+        code, u_out, err = _run(capsys, "seq", "u", "--n", "30000")
         assert (code, err) == (0, "")
-        assert len(out) > 6000 and int(out) == u_exact(fib, 30000)
-        code, out, err = _run(capsys, "seq", "v", "--n", "30000", "--format", "json")
+        code, v_out, err = _run(capsys, "seq", "v", "--n", "30000", "--format", "json")
         assert (code, err) == (0, "")
-        assert json.loads(out) == {"kind": "V", "index": 30000, "value": v_exact(fib, 30000)}
+        if int_str_limit is not None:
+            # run() lifts the process-wide limit only while it runs
+            assert sys.get_int_max_str_digits() == int_str_limit
+            assert _run(capsys, "seq", "u", "--n", "x")[0] == 64
+            assert sys.get_int_max_str_digits() == int_str_limit
+            sys.set_int_max_str_digits(0)  # to compare the outputs here
+        assert len(u_out) > 6000 and int(u_out) == u_exact(fib, 30000)
+        assert json.loads(v_out) == {"kind": "V", "index": 30000, "value": v_exact(fib, 30000)}
 
     def test_mod_big_index(self, capsys):
         code, out, _ = _run(

@@ -130,51 +130,28 @@ class TestWorkerCount:
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
         assert _worker_count(jobs, cells) == want
 
-    def test_sweep_uses_the_clamped_count(self, inline_pool):
+    def test_sweep_uses_the_clamped_count(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work, chunksize):
+                return map(fn, work)
+
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
         report = sweep(FIB, "um-un", {"m": (3, 4), "n": (3, 4)}, jobs=64)
-        assert inline_pool.started == [2] and report.summary.agreed == 4
+        assert started == [2] and report.summary.agreed == 4
         report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, jobs=64)
-        assert inline_pool.started == [2] and report.summary.agreed == 1
-
-    @pytest.mark.parametrize(
-        "theorem, ranges",
-        [("vm-vn", {"m": (3, 9), "n": (3, 9)}), ("triple", {"n": (1, 12), "p": (3, 5)})],
-    )
-    def test_longest_cells_submitted_first(self, inline_pool, theorem, ranges):
-        parallel = sweep(FIB, theorem, ranges, jobs=2)
-        [(points, chunksize)] = inline_pool.submitted
-        claimed = [THEOREM_TABLE[theorem].evaluate(FIB, p).value for p in points]
-        assert chunksize == 1
-        assert claimed == sorted(claimed, reverse=True) and len(set(claimed)) > 1
-        serial = sweep(FIB, theorem, ranges)
-        grid = [{k: c.inputs[k] for k in THEOREM_TABLE[theorem].keys} for c in serial.cells]
-        assert points != grid and sorted(points, key=grid.index) == grid
-        assert report_to_dict(parallel) == report_to_dict(serial)
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """A stand-in for the process pool on a 2-CPU machine that runs cells in this process."""
-
-    class InlinePool:
-        started, submitted = [], []  # max_workers per pool; (points, chunksize) per map
-
-        def __init__(self, max_workers):
-            self.started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work, chunksize):
-            self.submitted.append(([w[2] for w in work], chunksize))
-            return map(fn, work)
-
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
-    return InlinePool
+        assert started == [2] and report.summary.agreed == 1
 
 
 class TestDisagreementPath:
