@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import rank, verifier
 from .errors import LucasRankError
@@ -50,6 +51,16 @@ def _prime_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}") from exc
 
 
+def _csv_path(text: str) -> str:
+    """Refuse a --csv path that cannot be written before any sweep work starts."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise argparse.ArgumentTypeError(f"no writable directory {folder!r} for {text!r}")
+    return text
+
+
 def _emit(ns, text: str, payload: dict) -> None:
     if ns.format == "json":
         print(json.dumps(payload))
@@ -76,19 +87,12 @@ def _cmd_seq_mod(ns) -> int:
     return 0
 
 
-def _cmd_val(ns) -> int:
-    if ns.which == "int":
-        r = nu_int(ns.p, ns.x)
-    else:
-        r = (nu_u if ns.which == "u" else nu_v)(_params(ns), ns.p, ns.n)
-    _emit(ns, str(r.value), {"value": r.value, "prime": r.prime, "case": r.case})
-    return 0
+def _result_handler(compute):
+    """Print a dataclass result: its value as text, its fields in order as JSON."""
 
-
-def _gcd_handler(fn):
     def handler(ns) -> int:
-        w = fn(_params(ns), ns.m, ns.n)
-        _emit(ns, str(w.value), {"value": w.value, "branch": w.branch, "d": w.d})
+        r = compute(ns)
+        _emit(ns, str(r.value), asdict(r))
         return 0
 
     return handler
@@ -101,37 +105,6 @@ def _divides_handler(fn):
         return 0
 
     return handler
-
-
-def _tau_payload(r) -> dict:
-    return {
-        "value": r.value,
-        "method": r.method,
-        "witness": list(r.witness) if r.witness is not None else None,
-    }
-
-
-def _cmd_tau(ns) -> int:
-    r = rank.tau(_params(ns), ns.m, seed=ns.seed)
-    _emit(ns, str(r.value), _tau_payload(r))
-    return 0
-
-
-def _cmd_tau_scan(ns) -> int:
-    cap = ns.cap if ns.cap is not None else 10 * ns.m * ns.m + 10
-    r = rank.tau_scan(_params(ns), ns.m, cap)
-    _emit(ns, str(r.value), _tau_payload(r))
-    return 0
-
-
-def _cmd_formula(ns) -> int:
-    r = verifier.THEOREM_TABLE[ns.which].evaluate(_params(ns), vars(ns))
-    _emit(
-        ns,
-        str(r.value),
-        {"value": r.value, "case_label": r.case_label, "ingredients": r.ingredients},
-    )
-    return 0
 
 
 def _resolve_jobs(ns) -> int:
@@ -238,11 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = top.add_parser("val", help="p-adic valuations").add_subparsers(
         dest="which", required=True)
-    for name, arg, kind in (("u", "--n", _positive), ("v", "--n", _positive), ("int", "--x", int)):
+    for name, arg, kind, compute in (
+        ("u", "--n", _positive, lambda ns: nu_u(_params(ns), ns.p, ns.n)),
+        ("v", "--n", _positive, lambda ns: nu_v(_params(ns), ns.p, ns.n)),
+        ("int", "--x", int, lambda ns: nu_int(ns.p, ns.x)),
+    ):
         p = val.add_parser(name, parents=[common])
         p.add_argument("--p", type=_positive, required=True)
         p.add_argument(arg, type=kind, required=True)
-        p.set_defaults(func=_cmd_val)
+        p.set_defaults(func=_result_handler(compute))
 
     gcd = top.add_parser("gcd", help="gcd closed forms").add_subparsers(
         dest="which", required=True)
@@ -250,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = gcd.add_parser(name, parents=[common])
         p.add_argument("--m", type=_positive, required=True)
         p.add_argument("--n", type=_positive, required=True)
-        p.set_defaults(func=_gcd_handler(fn))
+        p.set_defaults(func=_result_handler(lambda ns, fn=fn: fn(_params(ns), ns.m, ns.n)))
 
     div = top.add_parser("divides", help="index-based divisibility").add_subparsers(
         dest="which", required=True)
@@ -262,14 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = top.add_parser("tau", parents=[common], help="rank of apparition, fast path")
     p.add_argument("--m", type=_positive, required=True)
-    p.set_defaults(func=_cmd_tau)
+    p.set_defaults(func=_result_handler(lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed)))
 
     p = top.add_parser("tau-scan", parents=[common],
                        help="rank of apparition by definitional scan")
     p.add_argument("--m", type=_positive, required=True)
     p.add_argument("--cap", type=_positive, default=None,
                    help="scan limit (default 10*m^2 + 10)")
-    p.set_defaults(func=_cmd_tau_scan)
+    p.set_defaults(func=_result_handler(
+        lambda ns: rank.tau_scan(_params(ns), ns.m, ns.cap or 10 * ns.m * ns.m + 10)))
 
     formula = top.add_parser("formula", help="closed forms for tau of products") \
         .add_subparsers(dest="which", required=True)
@@ -277,12 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = formula.add_parser(name, parents=[common])
         for key in theorem.keys:
             p.add_argument(f"--{key}", type=_positive, required=True)
-        p.set_defaults(func=_cmd_formula)
+        p.set_defaults(func=_result_handler(
+            lambda ns, theorem=theorem: theorem.evaluate(_params(ns), vars(ns))))
 
     verify = top.add_parser("verify", help="grid verification reports").add_subparsers(
         dest="which", required=True)
     report_common = argparse.ArgumentParser(add_help=False)
-    report_common.add_argument("--csv", default=None, metavar="PATH",
+    report_common.add_argument("--csv", type=_csv_path, default=None, metavar="PATH",
                                help="also write the cells to a CSV file")
     report_common.add_argument("--timings", action="store_true",
                                help="include per-cell wall times in the output")

@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import closed_form, rank
 from .errors import BadRange, NotAMultiple, NotEligible, NotFound
@@ -208,6 +208,9 @@ def sweep(
     if oracle not in ORACLES:
         raise BadRange(f"unknown oracle: {oracle}")
     grid.update(ranges or {})
+    for key, bounds in grid.items():  # the triple's primes are listed, not bounded
+        if not bounds or (key != "p" and bounds[0] > bounds[1]):
+            raise BadRange(f"empty range for {key}: {bounds}")
     work = [
         (params, theorem, point, oracle, scan_below, seed)
         for point in THEOREM_TABLE[theorem].grid(grid)
@@ -326,57 +329,29 @@ def check_delta_negative_fixtures() -> SweepReport:
     return SweepReport(params, "fixtures", cells, _summarize(cells))
 
 
+def _cell_dict(cell: SweepCell, include_timings: bool) -> dict:
+    d = dict(vars(cell))
+    if not include_timings:
+        del d["elapsed_ms"]
+    return d
+
+
 def report_to_dict(report: SweepReport, *, include_timings: bool = False) -> dict:
-    cells = []
-    for c in report.cells:
-        d = {
-            "inputs": c.inputs,
-            "closed_form_value": c.closed_form_value,
-            "oracle_value": c.oracle_value,
-            "case_label": c.case_label,
-            "agree": c.agree,
-        }
-        if include_timings:
-            d["elapsed_ms"] = c.elapsed_ms
-        cells.append(d)
-    return {
-        "params": {
-            "a": report.params.a,
-            "b": report.params.b,
-            "delta": report.params.delta,
-            "theorem_eligible": report.params.theorem_eligible,
-        },
-        "theorem": report.theorem,
-        "cells": cells,
-        "summary": {
-            "total": report.summary.total,
-            "agreed": report.summary.agreed,
-            "disagreed": report.summary.disagreed,
-            "branch_coverage": report.summary.branch_coverage,
-        },
-    }
+    """The report's fields in declaration order; shallow copies, never the objects' own dicts."""
+    d = dict(vars(report))
+    d["params"] = dict(vars(report.params))
+    d["cells"] = [_cell_dict(c, include_timings) for c in report.cells]
+    d["summary"] = dict(vars(report.summary))
+    return d
 
 
 def report_from_dict(data: dict) -> SweepReport:
-    params = make_params(data["params"]["a"], data["params"]["b"])
-    cells = [
-        SweepCell(
-            inputs=c["inputs"],
-            closed_form_value=c["closed_form_value"],
-            oracle_value=c["oracle_value"],
-            case_label=c["case_label"],
-            agree=c["agree"],
-            elapsed_ms=c.get("elapsed_ms", 0.0),
-        )
-        for c in data["cells"]
-    ]
-    summary = SweepSummary(
-        total=data["summary"]["total"],
-        agreed=data["summary"]["agreed"],
-        disagreed=data["summary"]["disagreed"],
-        branch_coverage=data["summary"]["branch_coverage"],
+    return SweepReport(
+        make_params(data["params"]["a"], data["params"]["b"]),
+        data["theorem"],
+        [SweepCell(**c) for c in data["cells"]],
+        SweepSummary(**data["summary"]),
     )
-    return SweepReport(params, data["theorem"], cells, summary)
 
 
 def report_to_json(report: SweepReport, *, include_timings: bool = False) -> str:
@@ -385,28 +360,16 @@ def report_to_json(report: SweepReport, *, include_timings: bool = False) -> str
 
 
 def report_to_csv(report: SweepReport, *, include_timings: bool = False) -> str:
-    """One row per cell; inputs are packed as a JSON column."""
+    """One row per cell, columns as SweepCell's fields; inputs are packed as a JSON column."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = [
-        "theorem", "a", "b", "inputs",
-        "closed_form_value", "oracle_value", "case_label", "agree",
-    ]
-    if include_timings:
-        header.append("elapsed_ms")
-    writer.writerow(header)
+    columns = [f.name for f in fields(SweepCell) if include_timings or f.name != "elapsed_ms"]
+    writer.writerow(["theorem", "a", "b", *columns])
     for c in report.cells:
-        row = [
-            report.theorem,
-            report.params.a,
-            report.params.b,
-            json.dumps(c.inputs, sort_keys=True),
-            c.closed_form_value,
-            c.oracle_value,
-            c.case_label,
-            int(c.agree),
-        ]
+        d = _cell_dict(c, include_timings)
+        d["inputs"] = json.dumps(c.inputs, sort_keys=True)
+        d["agree"] = int(c.agree)
         if include_timings:
-            row.append(f"{c.elapsed_ms:.3f}")
-        writer.writerow(row)
+            d["elapsed_ms"] = f"{c.elapsed_ms:.3f}"
+        writer.writerow([report.theorem, report.params.a, report.params.b, *d.values()])
     return buf.getvalue()

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import lucas_rank.closed_form as closed_form
+import lucas_rank.verifier as verifier
 from lucas_rank.cli import run
 from lucas_rank.closed_form import ClosedFormResult
 from lucas_rank.lucas_core import make_params, u_exact, v_exact
@@ -241,6 +242,32 @@ class TestVerify:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("theorem,a,b,inputs")
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_sweep_csv_unwritable_refused_before_work(self, capsys, monkeypatch, tmp_path, where):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the --csv path was checked")
+
+        monkeypatch.setattr(verifier, "sweep", no_sweep)
+        path = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+        code, out, err = _run(
+            capsys, "verify", "sweep", "--theorem", "um-un",
+            "--m-max", "4", "--n-max", "4", "--csv", str(path),
+        )
+        assert code == 64
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "--csv" in errors[0]
+        assert "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
+    def test_sweep_inverted_range_is_domain_error(self, capsys):
+        code, out, err = _run(
+            capsys, "verify", "sweep", "--theorem", "um-vn", "--m-min", "10", "--m-max", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BadRange: empty range for m")
 
     def test_sweep_disagreement_exit_code(self, capsys, monkeypatch):
         real = closed_form.tau_um_un

@@ -51,6 +51,8 @@ BAD_CALLS = {
     "tau_triple": (tau_triple, (FIB, 0, 3)),
     "sweep-theorem": (sweep, (FIB, "nope")),
     "sweep-oracle": (lambda: sweep(FIB, "um-un", oracle="guess"), ()),
+    "sweep-inverted-range": (lambda: sweep(FIB, "um-vn", {"m": (10, 3)}), ()),
+    "sweep-no-primes": (lambda: sweep(FIB, "triple", {"p": ()}), ()),
     "default_ranges": (default_ranges, ("nope",)),
 }
 

@@ -7,7 +7,7 @@ import pytest
 import lucas_rank.closed_form as closed_form
 import lucas_rank.verifier as verifier
 from lucas_rank.closed_form import ClosedFormResult
-from lucas_rank.errors import NotEligible
+from lucas_rank.errors import BadRange, NotEligible
 from lucas_rank.lucas_core import make_params
 from lucas_rank.verifier import (
     DEFAULT_SCAN_BELOW,
@@ -84,6 +84,18 @@ class TestSweep:
             sweep(FIB, "nope")
         with pytest.raises(ValueError):
             sweep(FIB, "um-un", SMALL, oracle="guess")
+
+    @pytest.mark.parametrize(
+        "theorem, ranges, key",
+        [
+            ("um-vn", {"m": (10, 3)}, "m"),
+            ("vm-vn", {"n": (5, 4)}, "n"),
+            ("triple", {"p": ()}, "p"),
+        ],
+    )
+    def test_empty_grid_refused(self, theorem, ranges, key):
+        with pytest.raises(BadRange, match=f"empty range for {key}"):
+            sweep(FIB, theorem, ranges)
 
     def test_default_ranges(self):
         assert default_ranges("um-un") == {"m": (3, 20), "n": (3, 20)}
@@ -237,11 +249,25 @@ class TestFixtures:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        report = sweep(FIB, "um-un", {"m": (3, 5), "n": (3, 5)})
-        data = json.loads(report_to_json(report))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sweep(FIB, "um-un", {"m": (3, 5), "n": (3, 5)}),
+            reproduce_remark,
+            check_delta_negative_fixtures,
+        ],
+        ids=["sweep", "remark", "fixtures"],
+    )
+    def test_json_roundtrip(self, make):
+        report = make()
+        data = json.loads(report_to_json(report, include_timings=True))
         back = report_from_dict(data)
+        assert back.cells == report.cells  # elapsed_ms included
+        assert (back.params, back.theorem, back.summary) == (
+            report.params, report.theorem, report.summary)
         assert report_to_dict(back) == report_to_dict(report)
+        report_to_dict(report)["params"]["a"] += 1  # a copy, not the frozen params' own dict
+        assert report.params == back.params
 
     def test_equal_runs_give_equal_bytes(self):
         kwargs = dict(ranges={"m": (3, 6), "n": (3, 6)}, seed=7)
