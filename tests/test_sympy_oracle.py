@@ -1,0 +1,51 @@
+"""sympy as a third, independent oracle for primality, factoring and U/V at (1, 1)."""
+
+import random
+
+import pytest
+
+from lucas_rank.lucas_core import make_params, u_exact, v_exact
+from lucas_rank.rank import factorize, is_prime
+
+sympy = pytest.importorskip("sympy")
+
+# Strong pseudoprimes: 3825123056546413051 passes Miller-Rabin to the
+# first nine prime bases; psi_13 passes the first thirteen and is caught
+# only by the extra bases.
+SPSP_9 = 3825123056546413051
+PSI_13 = 3317044064679887385961981
+
+
+def _seeded_numbers() -> list[int]:
+    rng = random.Random(20251018)
+    numbers = []
+    for _ in range(100):
+        numbers.append(rng.getrandbits(rng.randint(2, 96)))
+        numbers.append(int(sympy.nextprime(rng.getrandbits(rng.randint(2, 95)))))
+        p = int(sympy.nextprime(rng.getrandbits(rng.randint(2, 47))))
+        q = int(sympy.nextprime(rng.getrandbits(rng.randint(2, 47))))
+        numbers.append(p * q)
+    return numbers
+
+
+@pytest.mark.parametrize("n", [SPSP_9, PSI_13, 561, 41041, 2 ** 61 - 1, 2 ** 89 - 1])
+def test_is_prime_on_pseudoprimes_and_known_values(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_on_seeded_numbers():
+    numbers = _seeded_numbers()
+    assert all(n < 2 ** 96 for n in numbers)
+    mismatched = [n for n in numbers if is_prime(n) != sympy.isprime(n)]
+    assert mismatched == []
+
+
+def test_factorize_strong_pseudoprime():
+    assert dict(factorize(SPSP_9).factors) == sympy.factorint(SPSP_9)
+
+
+def test_u_v_at_1_1_are_fibonacci_and_lucas():
+    fib = make_params(1, 1)
+    for n in range(501):
+        assert u_exact(fib, n) == sympy.fibonacci(n)
+        assert v_exact(fib, n) == sympy.lucas(n)

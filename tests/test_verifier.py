@@ -1,5 +1,6 @@
 """Tests for grid sweeps, the benchmark reproduction, and fixtures."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -158,7 +159,7 @@ class TestWorkerCount:
             def map(self, fn, work, chunksize):
                 return map(fn, work)
 
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
         report = sweep(FIB, "um-un", {"m": (3, 4), "n": (3, 4)}, jobs=64)
         assert started == [2] and report.summary.agreed == 4
