@@ -52,6 +52,7 @@ from .verifier import (
     report_to_csv,
     report_to_dict,
     report_to_json,
+    report_to_text,
     reproduce_remark,
     sweep,
 )
@@ -99,5 +100,6 @@ __all__ = [
     "report_from_dict",
     "report_to_json",
     "report_to_csv",
+    "report_to_text",
     "__version__",
 ]

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 
 from . import rank, verifier
 from .errors import LucasRankError
@@ -61,13 +61,6 @@ def _csv_path(text: str) -> str:
     return text
 
 
-def _emit(ns, text: str, payload: dict) -> None:
-    if ns.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
 def _params(ns):
     return make_params(ns.a, ns.b)
 
@@ -75,36 +68,51 @@ def _params(ns):
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_seq(ns) -> int:
-    value = (u_exact if ns.which == "u" else v_exact)(_params(ns), ns.n)
-    _emit(ns, str(value), {"kind": ns.which.upper(), "index": ns.n, "value": value})
-    return 0
+def _handler(compute):
+    """Print what compute(ns) returns: a result dataclass or a (text, JSON payload) pair.
 
-
-def _cmd_seq_mod(ns) -> int:
-    u, v = uv_mod(_params(ns), ns.n, ns.modulus)
-    _emit(ns, f"{u} {v}", {"index": ns.n, "modulus": ns.modulus, "u": u, "v": v})
-    return 0
-
-
-def _result_handler(compute):
-    """Print a dataclass result: its value as text, its fields in order as JSON."""
+    A dataclass prints its value as text and its fields in order as JSON.
+    """
 
     def handler(ns) -> int:
         r = compute(ns)
-        _emit(ns, str(r.value), asdict(r))
+        text, payload = (str(r.value), asdict(r)) if is_dataclass(r) else r
+        print(json.dumps(payload) if ns.format == "json" else text)
         return 0
 
     return handler
 
 
-def _divides_handler(fn):
+def _report_handler(compute):
+    """Print the SweepReport compute(ns) returns, write --csv; exit 2 on a disagreement."""
+
     def handler(ns) -> int:
-        flag = fn(_params(ns), ns.n, ns.m)
-        _emit(ns, "true" if flag else "false", {"divides": flag})
-        return 0
+        report = compute(ns)
+        if ns.format == "json":
+            print(verifier.report_to_json(report, include_timings=ns.timings))
+        else:
+            print(verifier.report_to_text(report))
+        if ns.csv:
+            with open(ns.csv, "w", newline="") as fh:
+                fh.write(verifier.report_to_csv(report, include_timings=ns.timings))
+        return 2 if report.summary.disagreed else 0
 
     return handler
+
+
+def _seq(ns):
+    value = (u_exact if ns.which == "u" else v_exact)(_params(ns), ns.n)
+    return str(value), {"kind": ns.which.upper(), "index": ns.n, "value": value}
+
+
+def _seq_mod(ns):
+    u, v = uv_mod(_params(ns), ns.n, ns.modulus)
+    return f"{u} {v}", {"index": ns.n, "modulus": ns.modulus, "u": u, "v": v}
+
+
+def _divides(ns):
+    flag = (divides_uu if ns.which == "uu" else divides_vu)(_params(ns), ns.n, ns.m)
+    return ("true" if flag else "false"), {"divides": flag}
 
 
 def _resolve_jobs(ns) -> int:
@@ -119,43 +127,16 @@ def _resolve_jobs(ns) -> int:
     return 1
 
 
-def _report_text(report) -> str:
-    s = report.summary
-    lines = [
-        f"theorem={report.theorem} a={report.params.a} b={report.params.b} "
-        f"cells={s.total} agreed={s.agreed} disagreed={s.disagreed}"
-    ]
-    if s.branch_coverage:
-        coverage = " ".join(f"{k}={v}" for k, v in s.branch_coverage.items())
-        lines.append(f"coverage: {coverage}")
-    if report.theorem == "remark":
-        c = report.cells[0]
-        lines.append(
-            f"closed_form={c.closed_form_value} oracle={c.oracle_value} "
-            f"alternative={c.inputs['alternative_value']} ratio={c.inputs['ratio']}"
-        )
-    for c in report.cells:
-        if not c.agree:
-            lines.append(
-                f"DISAGREE inputs={json.dumps(c.inputs, sort_keys=True)} "
-                f"closed={c.closed_form_value} oracle={c.oracle_value}"
-            )
-    return "\n".join(lines)
+# `verify sweep` flags that only some theorems take, and the grid key each sets
+_SWEEP_FLAGS = {"m_min": "m", "m_max": "m", "primes": "p"}
 
 
-def _finish_report(ns, report) -> int:
-    if ns.format == "json":
-        print(verifier.report_to_json(report, include_timings=ns.timings))
-    else:
-        print(_report_text(report))
-    if ns.csv:
-        with open(ns.csv, "w", newline="") as fh:
-            fh.write(verifier.report_to_csv(report, include_timings=ns.timings))
-    return 2 if report.summary.disagreed else 0
-
-
-def _cmd_verify_sweep(ns) -> int:
+def _cmd_verify_sweep(ns):
     ranges = verifier.default_ranges(ns.theorem)
+    for flag, key in _SWEEP_FLAGS.items():
+        if getattr(ns, flag) is not None and key not in ranges:
+            ns.usage_error(f"argument --{flag.replace('_', '-')}: "
+                           f"not allowed with --theorem {ns.theorem}")
     for key, default in ranges.items():
         if key == "p":  # the triple's primes are listed, not bounded
             if ns.primes is not None:
@@ -163,7 +144,7 @@ def _cmd_verify_sweep(ns) -> int:
             continue
         lo, hi = getattr(ns, f"{key}_min"), getattr(ns, f"{key}_max")
         ranges[key] = (default[0] if lo is None else lo, default[1] if hi is None else hi)
-    report = verifier.sweep(
+    return verifier.sweep(
         _params(ns),
         ns.theorem,
         ranges,
@@ -172,15 +153,6 @@ def _cmd_verify_sweep(ns) -> int:
         scan_below=ns.scan_below,
         seed=ns.seed,
     )
-    return _finish_report(ns, report)
-
-
-def _cmd_verify_remark(ns) -> int:
-    return _finish_report(ns, verifier.reproduce_remark(seed=ns.seed))
-
-
-def _cmd_verify_fixtures(ns) -> int:
-    return _finish_report(ns, verifier.check_delta_negative_fixtures())
 
 
 # ------------------------------------------------------------------ parser
@@ -203,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("u", "v"):
         p = seq.add_parser(name, parents=[common])
         p.add_argument("--n", type=_nonneg, required=True)
-        p.set_defaults(func=_cmd_seq)
+        p.set_defaults(func=_handler(_seq))
     p = seq.add_parser("mod", parents=[common])
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--modulus", type=_positive, required=True)
-    p.set_defaults(func=_cmd_seq_mod)
+    p.set_defaults(func=_handler(_seq_mod))
 
     val = top.add_parser("val", help="p-adic valuations").add_subparsers(
         dest="which", required=True)
@@ -219,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = val.add_parser(name, parents=[common])
         p.add_argument("--p", type=_positive, required=True)
         p.add_argument(arg, type=kind, required=True)
-        p.set_defaults(func=_result_handler(compute))
+        p.set_defaults(func=_handler(compute))
 
     gcd = top.add_parser("gcd", help="gcd closed forms").add_subparsers(
         dest="which", required=True)
@@ -227,26 +199,26 @@ def build_parser() -> argparse.ArgumentParser:
         p = gcd.add_parser(name, parents=[common])
         p.add_argument("--m", type=_positive, required=True)
         p.add_argument("--n", type=_positive, required=True)
-        p.set_defaults(func=_result_handler(lambda ns, fn=fn: fn(_params(ns), ns.m, ns.n)))
+        p.set_defaults(func=_handler(lambda ns, fn=fn: fn(_params(ns), ns.m, ns.n)))
 
     div = top.add_parser("divides", help="index-based divisibility").add_subparsers(
         dest="which", required=True)
-    for name, fn in (("uu", divides_uu), ("vu", divides_vu)):
+    for name in ("uu", "vu"):
         p = div.add_parser(name, parents=[common])
         p.add_argument("--n", type=_positive, required=True, help="divisor index")
         p.add_argument("--m", type=_positive, required=True, help="dividend index")
-        p.set_defaults(func=_divides_handler(fn))
+        p.set_defaults(func=_handler(_divides))
 
     p = top.add_parser("tau", parents=[common], help="rank of apparition, fast path")
     p.add_argument("--m", type=_positive, required=True)
-    p.set_defaults(func=_result_handler(lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed)))
+    p.set_defaults(func=_handler(lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed)))
 
     p = top.add_parser("tau-scan", parents=[common],
                        help="rank of apparition by definitional scan")
     p.add_argument("--m", type=_positive, required=True)
     p.add_argument("--cap", type=_positive, default=None,
                    help="scan limit (default 10*m^2 + 10)")
-    p.set_defaults(func=_result_handler(
+    p.set_defaults(func=_handler(
         lambda ns: rank.tau_scan(_params(ns), ns.m, ns.cap or 10 * ns.m * ns.m + 10)))
 
     formula = top.add_parser("formula", help="closed forms for tau of products") \
@@ -255,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = formula.add_parser(name, parents=[common])
         for key in theorem.keys:
             p.add_argument(f"--{key}", type=_positive, required=True)
-        p.set_defaults(func=_result_handler(
+        p.set_defaults(func=_handler(
             lambda ns, theorem=theorem: theorem.evaluate(_params(ns), vars(ns))))
 
     verify = top.add_parser("verify", help="grid verification reports").add_subparsers(
@@ -278,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra definitional scan for values below this bound")
     p.add_argument("--jobs", type=_positive, default=None,
                    help="worker processes (default 1, or LUCAS_RANK_JOBS)")
-    p.set_defaults(func=_cmd_verify_sweep)
+    p.set_defaults(func=_report_handler(_cmd_verify_sweep), usage_error=p.error)
     p = verify.add_parser("remark", parents=[common, report_common])
-    p.set_defaults(func=_cmd_verify_remark)
+    p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)))
     p = verify.add_parser("fixtures", parents=[common, report_common])
-    p.set_defaults(func=_cmd_verify_fixtures)
+    p.set_defaults(func=_report_handler(lambda ns: verifier.check_delta_negative_fixtures()))
 
     return parser
 
@@ -300,16 +272,14 @@ def run(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
+        ns = build_parser().parse_args(argv)
+        return ns.func(ns)
+    except _UsageError as exc:  # from parsing, or a handler's ns.usage_error
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except SystemExit as exc:  # --help
         return 0 if not exc.code else int(exc.code)
-    try:
-        return ns.func(ns)
     except LucasRankError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -381,7 +381,7 @@ def tau_prime_power(params: LucasParams, p: int, e: int, *, seed: int = 0) -> Ta
     return TauResult(t * p ** max(0, lift), "factorization-lift")
 
 
-def tau(params: LucasParams, m: int, *, bound: int = FACTOR_BOUND, seed: int = 0) -> TauResult:
+def tau(params: LucasParams, m: int, *, seed: int = 0) -> TauResult:
     """tau(m) as the lcm of the prime-power ranks dividing m."""
     if m < 1:
         raise BadRange(f"need m >= 1, got {m}")
@@ -390,7 +390,7 @@ def tau(params: LucasParams, m: int, *, bound: int = FACTOR_BOUND, seed: int = 0
     if m == 1:
         return TauResult(1, "factorization-lift")
     value = 1
-    for p, e in factorize(m, bound=bound, seed=seed).factors:
+    for p, e in factorize(m, seed=seed).factors:
         value = math.lcm(value, tau_prime_power(params, p, e, seed=seed).value)
     return TauResult(value, "factorization-lift")
 
@@ -408,7 +408,7 @@ def tau_min_divisor_oracle(
     if multiple < 1:
         raise BadRange(f"need multiple >= 1, got {multiple}")
     if math.gcd(target, params.b) != 1:
-        raise NotCoprimeToB(f"gcd(target, {params.b}) > 1, rank undefined")
+        raise NotCoprimeToB(f"gcd({target}, {params.b}) > 1, rank undefined")
     if uv_mod(params, multiple, target)[0] != 0:
         raise NotAMultiple(f"target does not divide U_{multiple}")
     value, witness = _strip_to_minimum(params, target, multiple, seed)

@@ -361,6 +361,31 @@ def report_to_json(report: SweepReport, *, include_timings: bool = False) -> str
     return json.dumps(report_to_dict(report, include_timings=include_timings), indent=2)
 
 
+def report_to_text(report: SweepReport) -> str:
+    """A summary line, branch coverage, the remark's values and one line per disagreement."""
+    s = report.summary
+    lines = [
+        f"theorem={report.theorem} a={report.params.a} b={report.params.b} "
+        f"cells={s.total} agreed={s.agreed} disagreed={s.disagreed}"
+    ]
+    if s.branch_coverage:
+        coverage = " ".join(f"{k}={v}" for k, v in s.branch_coverage.items())
+        lines.append(f"coverage: {coverage}")
+    if report.theorem == "remark":
+        c = report.cells[0]
+        lines.append(
+            f"closed_form={c.closed_form_value} oracle={c.oracle_value} "
+            f"alternative={c.inputs['alternative_value']} ratio={c.inputs['ratio']}"
+        )
+    for c in report.cells:
+        if not c.agree:
+            lines.append(
+                f"DISAGREE inputs={json.dumps(c.inputs, sort_keys=True)} "
+                f"closed={c.closed_form_value} oracle={c.oracle_value}"
+            )
+    return "\n".join(lines)
+
+
 def report_to_csv(report: SweepReport, *, include_timings: bool = False) -> str:
     """One row per cell, columns as SweepCell's fields; inputs are packed as a JSON column."""
     import csv  # imported here, like the pool: only CSV output needs it

@@ -261,6 +261,25 @@ class TestVerify:
         assert "Traceback" not in err
         assert not (tmp_path / "no").exists()
 
+    @pytest.mark.parametrize("theorem,argv,flag", [
+        ("um-vn", ("--primes", "3,5", "--m-max", "4", "--n-max", "4"), "--primes"),
+        ("vm-vn", ("--primes", "3"), "--primes"),
+        ("triple", ("--m-min", "3", "--n-max", "3"), "--m-min"),
+        ("triple", ("--n-max", "3", "--m-max", "4", "--primes", "3"), "--m-max"),
+    ], ids=["um-vn --primes", "vm-vn --primes", "triple --m-min", "triple --m-max"])
+    def test_sweep_refuses_flag_of_another_theorem(self, capsys, monkeypatch, theorem, argv, flag):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran with a flag its theorem does not take")
+
+        monkeypatch.setattr(verifier, "sweep", no_sweep)
+        code, out, err = _run(capsys, "verify", "sweep", "--theorem", theorem, *argv)
+        assert (code, out) == (64, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: lucas-rank verify sweep ")
+        assert [line for line in lines if line.startswith("error:")] == [
+            f"error: argument {flag}: not allowed with --theorem {theorem}"]
+        assert lines[-1].startswith("error:")
+
     def test_sweep_inverted_range_is_domain_error(self, capsys):
         code, out, err = _run(
             capsys, "verify", "sweep", "--theorem", "um-vn", "--m-min", "10", "--m-max", "3",

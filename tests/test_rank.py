@@ -475,7 +475,7 @@ class TestMinDivisorOracle:
             tau_min_divisor_oracle(make_params(1, 1), 7, 7)
 
     def test_rejects_target_not_coprime_to_b(self):
-        with pytest.raises(NotCoprimeToB):
+        with pytest.raises(NotCoprimeToB, match=r"^gcd\(4, 2\) > 1, rank undefined$"):
             tau_min_divisor_oracle(make_params(1, 2), 4, 6)
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (3, -1)])
@@ -502,3 +502,13 @@ class TestNuInU:
                     value //= p
                     expect += 1
                 assert nu_in_u(params, p, k) == expect
+
+    def test_precision_doubles_past_the_first_power(self):
+        # 2^10 | U_768 while the first modulus tried is 2^8, so e must double once
+        fib = make_params(1, 1)
+        value, expect = u_exact(fib, 768), 0
+        while value % 2 == 0:
+            value //= 2
+            expect += 1
+        assert expect == 10
+        assert nu_in_u(fib, 2, 768) == expect

@@ -22,6 +22,7 @@ from lucas_rank.verifier import (
     report_to_csv,
     report_to_dict,
     report_to_json,
+    report_to_text,
     reproduce_remark,
     sweep,
 )
@@ -68,6 +69,16 @@ class TestSweep:
         report = sweep(FIB, "um-un", {"m": (3, 6), "n": (3, 6)}, oracle="scan")
         assert report.summary.disagreed == 0
         assert all(c.oracle_value == c.closed_form_value for c in report.cells)
+
+    def test_scan_oracle_cap_hit(self):
+        # the closed form at n = 62, p = 31 is above the scan oracle's hard cap
+        report = sweep(FIB, "triple", {"n": (62, 62), "p": (31,)}, oracle="scan")
+        (cell,) = report.cells
+        assert cell.inputs["oracle_cap_hit"] is True
+        assert cell.closed_form_value > verifier._SCAN_HARD_CAP
+        assert cell.oracle_value is None
+        assert not cell.agree
+        assert report.summary.disagreed == 1
 
     def test_parallel_matches_serial(self):
         kwargs = dict(ranges={"m": (3, 7), "n": (3, 7)})
@@ -185,6 +196,11 @@ class TestDisagreementPath:
         assert (bad[0].inputs["m"], bad[0].inputs["n"]) == (4, 6)
         assert bad[0].closed_form_value == 24
         assert bad[0].oracle_value == 12
+        assert report_to_text(report).splitlines() == [
+            "theorem=um-un a=1 b=1 cells=16 agreed=15 disagreed=1",
+            "coverage: lcm*U_d=16",
+            'DISAGREE inputs={"m": 4, "n": 6} closed=24 oracle=12',
+        ]
 
     def test_non_multiple_falls_back_to_scan(self, monkeypatch):
         real = closed_form.tau_um_un
@@ -202,6 +218,21 @@ class TestDisagreementPath:
         assert cell.closed_form_value == 13
         assert cell.oracle_value == 12
         assert "oracle_note" in cell.inputs
+
+    def test_fallback_scan_that_finds_nothing(self, monkeypatch):
+        real = closed_form.tau_um_un
+
+        def one(params, m, n):
+            r = real(params, m, n)
+            return ClosedFormResult(1, r.case_label, r.ingredients)
+
+        monkeypatch.setattr(closed_form, "tau_um_un", one)
+        # 1 is no multiple of tau(U_21^2) = 21, and the fallback scan stops at 4*1 + 16 = 20
+        report = sweep(FIB, "um-un", {"m": (21, 21), "n": (21, 21)})
+        (cell,) = report.cells
+        assert "oracle_note" in cell.inputs
+        assert cell.oracle_value is None
+        assert not cell.agree
 
 
 class TestRemark:
