@@ -132,22 +132,18 @@ _SWEEP_FLAGS = {"m_min": "m", "m_max": "m", "primes": "p"}
 
 
 def _cmd_verify_sweep(ns):
-    ranges = verifier.default_ranges(ns.theorem)
+    keys = verifier.THEOREM_TABLE[ns.theorem].keys
     for flag, key in _SWEEP_FLAGS.items():
-        if getattr(ns, flag) is not None and key not in ranges:
+        if getattr(ns, flag) is not None and key not in keys:
             ns.usage_error(f"argument --{flag.replace('_', '-')}: "
                            f"not allowed with --theorem {ns.theorem}")
-    for key, default in ranges.items():
-        if key == "p":  # the triple's primes are listed, not bounded
-            if ns.primes is not None:
-                ranges[key] = ns.primes
-            continue
-        lo, hi = getattr(ns, f"{key}_min"), getattr(ns, f"{key}_max")
-        ranges[key] = (default[0] if lo is None else lo, default[1] if hi is None else hi)
+    if ns.scan_below is not None and ns.oracle == "scan":
+        ns.usage_error("argument --scan-below: not allowed with --oracle scan")
+    given = {"m": (ns.m_min, ns.m_max), "n": (ns.n_min, ns.n_max), "p": ns.primes}
     return verifier.sweep(
         _params(ns),
         ns.theorem,
-        ranges,
+        {key: given[key] for key in keys},
         oracle=ns.oracle,
         jobs=_resolve_jobs(ns),
         scan_below=ns.scan_below,
@@ -246,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=_prime_list, default=None,
                    help="comma-separated odd primes for the triple form")
     p.add_argument("--oracle", choices=verifier.ORACLES, default="divisor-minimality")
-    p.add_argument("--scan-below", type=_nonneg, default=verifier.DEFAULT_SCAN_BELOW,
+    p.add_argument("--scan-below", type=_nonneg, default=None,
                    help="extra definitional scan for values below this bound")
     p.add_argument("--jobs", type=_positive, default=None,
                    help="worker processes (default 1, or LUCAS_RANK_JOBS)")

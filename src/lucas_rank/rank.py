@@ -410,6 +410,6 @@ def tau_min_divisor_oracle(
     if math.gcd(target, params.b) != 1:
         raise NotCoprimeToB(f"gcd({target}, {params.b}) > 1, rank undefined")
     if uv_mod(params, multiple, target)[0] != 0:
-        raise NotAMultiple(f"target does not divide U_{multiple}")
+        raise NotAMultiple(f"{target} does not divide U_{multiple}")
     value, witness = _strip_to_minimum(params, target, multiple, seed)
     return TauResult(value, "divisor-minimality", witness)

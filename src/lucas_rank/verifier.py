@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 
 from . import closed_form, rank
 from .errors import BadRange, NotAMultiple, NotEligible, NotFound
@@ -120,12 +121,6 @@ class SweepReport:
     summary: SweepSummary
 
 
-def default_ranges(theorem: str) -> dict:
-    if theorem not in THEOREM_TABLE:
-        raise BadRange(f"unknown theorem tag: {theorem}")
-    return dict(THEOREM_TABLE[theorem].defaults)
-
-
 def _scan(params: LucasParams, target: int, cap: int) -> int | None:
     try:
         return rank.tau_scan(params, target, cap).value
@@ -133,8 +128,7 @@ def _scan(params: LucasParams, target: int, cap: int) -> int | None:
         return None
 
 
-def _evaluate_cell(args) -> SweepCell:
-    params, theorem, point, oracle, scan_below, seed = args
+def _evaluate_cell(params, theorem, oracle, scan_below, seed, point) -> SweepCell:
     start = time.perf_counter()
     inputs = dict(point)
     th = THEOREM_TABLE[theorem]
@@ -190,40 +184,52 @@ def sweep(
     *,
     oracle: str = "divisor-minimality",
     jobs: int = 1,
-    scan_below: int = DEFAULT_SCAN_BELOW,
+    scan_below: int | None = None,
     seed: int = 0,
 ) -> SweepReport:
     """Check one closed form over a grid; see module docstring.
 
     `ranges` overrides the theorem's default ranges key by key
     ({"m": (3, 20), "n": (3, 20)} for the pair forms, {"n": (1, 60),
-    "p": (3, 5, 7)} for the triple).  Cells are independent, so jobs > 1
-    evaluates them in worker processes, at most one per CPU and per
-    cell; the report keeps deterministic input order either way.
+    "p": (3, 5, 7)} for the triple); a key or a bound given as None keeps
+    its default, and a key the theorem does not take is refused.
+    `scan_below` (default 10^7) applies to the divisor-minimality oracle
+    only.  Cells are independent, so jobs > 1 evaluates them in worker
+    processes, at most one per CPU and per cell; the report keeps
+    deterministic input order either way.
     """
-    grid = default_ranges(theorem)
+    if theorem not in THEOREM_TABLE:
+        raise BadRange(f"unknown theorem tag: {theorem}")
     if oracle not in ORACLES:
         raise BadRange(f"unknown oracle: {oracle}")
-    grid.update(ranges or {})
-    for key, bounds in grid.items():  # the triple's primes are listed, not bounded
+    if scan_below is None:
+        scan_below = DEFAULT_SCAN_BELOW
+    elif oracle == "scan":
+        raise BadRange("scan_below applies only to the divisor-minimality oracle")
+    grid = dict(THEOREM_TABLE[theorem].defaults)
+    for key, given in (ranges or {}).items():
+        if key not in grid:
+            raise BadRange(f"theorem {theorem} takes no range for {key}")
+        if given is not None:  # the triple's primes are listed, not bounded
+            grid[key] = given if key == "p" else tuple(
+                d if g is None else g for g, d in zip(given, grid[key]))
+    for key, bounds in grid.items():
         if not bounds or (key != "p" and bounds[0] > bounds[1]):
             raise BadRange(f"empty range for {key}: {bounds}")
         if key == "p" and len(set(bounds)) < len(bounds):
             raise BadRange(f"repeated prime in p: {bounds}")
-    work = [
-        (params, theorem, point, oracle, scan_below, seed)
-        for point in THEOREM_TABLE[theorem].grid(grid)
-    ]
-    workers = _worker_count(jobs, len(work))
+    points = THEOREM_TABLE[theorem].grid(grid)
+    evaluate = partial(_evaluate_cell, params, theorem, oracle, scan_below, seed)
+    workers = _worker_count(jobs, len(points))
     if workers > 1:
         # imported here: loading the pool costs about 34 ms, which no serial call should pay
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(work) // (4 * workers))
+        chunk = max(1, len(points) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_evaluate_cell, work, chunksize=chunk))
+            cells = list(pool.map(evaluate, points, chunksize=chunk))
     else:
-        cells = [_evaluate_cell(w) for w in work]
+        cells = list(map(evaluate, points))
     return SweepReport(params, theorem, cells, _summarize(cells))
 
 
@@ -238,32 +244,23 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
     params = make_params(1, 1)
     start = time.perf_counter()
     n, p = 50, 5
-    triple = THEOREM_TABLE["triple"]
-    result = triple.evaluate(params, {"n": n, "p": p})
-    target = triple.product(params, {"n": n, "p": p})
-    got = rank.tau_min_divisor_oracle(params, target, result.value, seed=seed).value
+    # scan_below=0: the remark's cell carries no scan_checked marker
+    cell = _evaluate_cell(params, "triple", "divisor-minimality", 0, seed, {"n": n, "p": p})
+    target = THEOREM_TABLE["triple"].product(params, {"n": n, "p": p})
     alternative = (
         n * (n + p) * (n + 2 * p) // (2 * p * p)
         * u_exact(params, p)
         * u_exact(params, 2 * p)
     )
     alt_strips_to = rank.tau_min_divisor_oracle(params, target, alternative, seed=seed).value
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    cell = SweepCell(
-        inputs={
-            "n": n,
-            "p": p,
-            "alternative_value": alternative,
-            "alternative_strips_to": alt_strips_to,
-            "ratio": alternative // result.value,
-            "oracle_method": "divisor-minimality",
-        },
-        closed_form_value=result.value,
-        oracle_value=got,
-        case_label=result.case_label,
-        agree=(got == result.value and alt_strips_to == result.value),
-        elapsed_ms=elapsed_ms,
+    cell.inputs.update(
+        alternative_value=alternative,
+        alternative_strips_to=alt_strips_to,
+        ratio=alternative // cell.closed_form_value,
+        oracle_method="divisor-minimality",
     )
+    cell.agree = cell.agree and alt_strips_to == cell.closed_form_value
+    cell.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SweepReport(params, "remark", [cell], _summarize([cell]))
 
 
@@ -284,18 +281,13 @@ def check_delta_negative_fixtures() -> SweepReport:
         start = time.perf_counter()
         params = make_params(fx["a"], fx["b"])
         n, m = fx["n"], fx["m"]
-        small = (u_exact if fx["kind"] == "U" else v_exact)(params, n)
+        is_u = fx["kind"] == "U"
+        small = (u_exact if is_u else v_exact)(params, n)
         big = u_exact(params, m)
         value_divides = big % small == 0
-        if fx["kind"] == "U":
-            index_rule = m % n == 0
-        else:
-            index_rule = m % n == 0 and (m // n) % 2 == 0
+        index_rule = m % n == 0 and (is_u or (m // n) % 2 == 0)
         try:
-            if fx["kind"] == "U":
-                divides_uu(params, n, m)
-            else:
-                divides_vu(params, n, m)
+            (divides_uu if is_u else divides_vu)(params, n, m)
             rejected = False
         except NotEligible:
             rejected = True

@@ -280,6 +280,18 @@ class TestVerify:
             f"error: argument {flag}: not allowed with --theorem {theorem}"]
         assert lines[-1].startswith("error:")
 
+    def test_sweep_refuses_scan_below_with_scan_oracle(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran with --scan-below and --oracle scan")
+
+        monkeypatch.setattr(verifier, "sweep", no_sweep)
+        code, out, err = _run(capsys, "verify", "sweep", "--theorem", "um-un", "--m-max", "3",
+                              "--n-max", "3", "--oracle", "scan", "--scan-below", "0")
+        assert (code, out) == (64, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: lucas-rank verify sweep ")
+        assert lines[-1] == "error: argument --scan-below: not allowed with --oracle scan"
+
     def test_sweep_inverted_range_is_domain_error(self, capsys):
         code, out, err = _run(
             capsys, "verify", "sweep", "--theorem", "um-vn", "--m-min", "10", "--m-max", "3",

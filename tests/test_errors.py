@@ -24,7 +24,6 @@ from lucas_rank import (
 )
 from lucas_rank.errors import BadRange, LucasRankError
 from lucas_rank.rank import nu_in_u
-from lucas_rank.verifier import default_ranges
 
 FIB = make_params(1, 1)
 
@@ -54,7 +53,8 @@ BAD_CALLS = {
     "sweep-inverted-range": (lambda: sweep(FIB, "um-vn", {"m": (10, 3)}), ()),
     "sweep-no-primes": (lambda: sweep(FIB, "triple", {"p": ()}), ()),
     "sweep-repeated-prime": (lambda: sweep(FIB, "triple", {"p": (3, 3)}), ()),
-    "default_ranges": (default_ranges, ("nope",)),
+    "sweep-scan-below-with-scan-oracle": (
+        lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, oracle="scan", scan_below=0), ()),
 }
 
 

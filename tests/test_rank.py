@@ -22,6 +22,7 @@ from lucas_rank.rank import (
     Factorization,
     TauResult,
     _Lanes,
+    _rho_brent,
     factorize,
     is_prime,
     nu_in_u,
@@ -90,6 +91,13 @@ class TestFactorize:
     def test_semiprime_beyond_trial_division(self):
         f = factorize(999983 * 1000003)
         assert f.factors == ((999983, 1), (1000003, 1))
+
+    def test_brent_backtrack(self):
+        # with seed 0 the batched gcd of this semiprime jumps straight to n, so
+        # Brent's variant backtracks one step at a time from the saved ys
+        n = 10007 * 10009
+        assert factorize(n, seed=0).factors == ((10007, 1), (10009, 1))
+        assert _rho_brent(n, random.Random(0)) in (10007, 10009)
 
     def test_deterministic_across_seeds(self):
         x = 999983 * 1000003 * 17
@@ -471,7 +479,7 @@ class TestMinDivisorOracle:
         assert tau_min_divisor_oracle(fib, product, 907500).value == 82500
 
     def test_rejects_non_multiple(self):
-        with pytest.raises(NotAMultiple):
+        with pytest.raises(NotAMultiple, match=r"^7 does not divide U_7$"):
             tau_min_divisor_oracle(make_params(1, 1), 7, 7)
 
     def test_rejects_target_not_coprime_to_b(self):

@@ -17,7 +17,6 @@ from lucas_rank.verifier import (
     THEOREMS,
     _worker_count,
     check_delta_negative_fixtures,
-    default_ranges,
     report_from_dict,
     report_to_csv,
     report_to_dict,
@@ -88,8 +87,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_ineligible_params_rejected(self, theorem):
+        ranges = {key: (3, 4) for key in THEOREM_TABLE[theorem].keys if key != "p"}
         with pytest.raises(NotEligible):
-            sweep(make_params(1, -2), theorem, {"m": (3, 4), "n": (3, 4)})
+            sweep(make_params(1, -2), theorem, ranges)
 
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError):
@@ -110,13 +110,32 @@ class TestSweep:
             sweep(FIB, theorem, ranges)
 
     def test_default_ranges(self):
-        assert default_ranges("um-un") == {"m": (3, 20), "n": (3, 20)}
-        assert default_ranges("triple") == {"n": (1, 60), "p": (3, 5, 7)}
+        assert THEOREM_TABLE["um-un"].defaults == {"m": (3, 20), "n": (3, 20)}
+        assert THEOREM_TABLE["triple"].defaults == {"n": (1, 60), "p": (3, 5, 7)}
         assert set(PAIR_THEOREMS) == {"um-vn", "um-un", "vm-vn"}
 
     def test_partial_ranges_keep_other_defaults(self):
         report = sweep(FIB, "triple", {"p": (3,)}, scan_below=0)
         assert [c.inputs["n"] for c in report.cells] == list(range(1, 61))
+
+    def test_none_bound_keeps_its_default(self):
+        report = sweep(FIB, "um-vn", {"m": (None, 5), "n": (19, None)})
+        points = [(c.inputs["m"], c.inputs["n"]) for c in report.cells]
+        assert points == [(m, n) for m in (3, 4, 5) for n in (19, 20)]
+        assert report.summary.agreed == 6
+
+    def test_none_key_keeps_its_default(self):
+        report = sweep(FIB, "triple", {"n": (1, 2), "p": None}, scan_below=0)
+        assert [(c.inputs["n"], c.inputs["p"]) for c in report.cells] == [
+            (n, p) for p in (3, 5, 7) for n in (1, 2)]
+
+    @pytest.mark.parametrize(
+        "theorem, ranges, key",
+        [("um-un", {"p": (3,)}, "p"), ("triple", {"m": (3, 4)}, "m")],
+    )
+    def test_key_of_another_theorem_refused(self, theorem, ranges, key):
+        with pytest.raises(BadRange, match=f"^theorem {theorem} takes no range for {key}$"):
+            sweep(FIB, theorem, ranges)
 
 
 class TestTheoremTable:
@@ -266,6 +285,16 @@ class TestFixtures:
             assert cell.inputs["value_divides"]
             assert not cell.inputs["index_rule_holds"]
             assert cell.inputs["rejected_not_eligible"]
+
+    def test_call_that_is_not_refused_disagrees(self, monkeypatch):
+        monkeypatch.setattr(verifier, "divides_uu", lambda params, n, m: True)
+        report = check_delta_negative_fixtures()
+        u_cells = [c for c in report.cells if c.inputs["kind"] == "U"]
+        assert len(u_cells) == 2
+        for cell in u_cells:
+            assert cell.inputs["rejected_not_eligible"] is False
+            assert cell.agree is False
+        assert report.summary.disagreed == 2
 
     def test_fixture_values(self):
         report = check_delta_negative_fixtures()
