@@ -26,8 +26,7 @@ class ClosedFormResult:
 
 def tau_um_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     """tau(U_m * V_n) for m, n >= 3."""
-    check_pair(params, m, n)
-    d = math.gcd(m, n)
+    d = check_pair(params, m, n)
     lcm = math.lcm(m, n)
     ing = {"d": d, "lcm": lcm, "nu2_m": nu2(m), "nu2_n": nu2(n)}
     if nu2(m) <= nu2(n):
@@ -39,8 +38,7 @@ def tau_um_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
 
 def tau_um_un(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     """tau(U_m * U_n) for m, n >= 3."""
-    check_pair(params, m, n)
-    d = math.gcd(m, n)
+    d = check_pair(params, m, n)
     lcm = math.lcm(m, n)
     ud = u_exact(params, d)
     return ClosedFormResult(lcm * ud, "lcm*U_d", {"d": d, "lcm": lcm, "U_d": ud})
@@ -48,10 +46,8 @@ def tau_um_un(params: LucasParams, m: int, n: int) -> ClosedFormResult:
 
 def tau_vm_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     """tau(V_m * V_n) for m, n >= 3."""
-    check_pair(params, m, n)
-    d = math.gcd(m, n)
-    lcm = math.lcm(m, n)
-    g = gcd_vv(params, m, n)
+    g = gcd_vv(params, m, n)  # runs check_pair first
+    d, lcm = g.d, math.lcm(m, n)
     a, b = params.a, params.b
     if b % 2 == 0:
         single, cond = False, "2|b"

@@ -22,24 +22,23 @@ class GcdWitness:
     d: int
 
 
-def check_pair(params: LucasParams, m: int, n: int) -> None:
-    """Refuse ineligible params, then index pairs below 3."""
+def check_pair(params: LucasParams, m: int, n: int) -> int:
+    """Refuse ineligible params, then index pairs below 3; return d = gcd(m, n)."""
     require_eligible(params)
     if m < 3 or n < 3:
         raise BadRange(f"indices must be >= 3, got ({m}, {n})")
+    return math.gcd(m, n)
 
 
 def gcd_uu(params: LucasParams, m: int, n: int) -> GcdWitness:
     """gcd(U_m, U_n) = U_{gcd(m, n)}."""
-    check_pair(params, m, n)
-    d = math.gcd(m, n)
+    d = check_pair(params, m, n)
     return GcdWitness(abs(u_exact(params, d)), "U_d", d)
 
 
 def gcd_vv(params: LucasParams, m: int, n: int) -> GcdWitness:
     """gcd(V_m, V_n): V_d when the indices carry the same power of 2, else 1 or 2."""
-    check_pair(params, m, n)
-    d = math.gcd(m, n)
+    d = check_pair(params, m, n)
     if nu2(m) == nu2(n):
         return GcdWitness(abs(v_exact(params, d)), "V_d", d)
     if params.a % 2 == 0 or (params.b % 2 != 0 and d % 3 == 0):
@@ -49,8 +48,7 @@ def gcd_vv(params: LucasParams, m: int, n: int) -> GcdWitness:
 
 def gcd_uv(params: LucasParams, m: int, n: int) -> GcdWitness:
     """gcd(U_m, V_n): V_d when m carries strictly more 2s than n, else 1 or 2."""
-    check_pair(params, m, n)
-    d = math.gcd(m, n)
+    d = check_pair(params, m, n)
     if nu2(m) > nu2(n):
         return GcdWitness(abs(v_exact(params, d)), "V_d", d)
     if (params.a % 2 == 0 and m % 2 == 0) or (

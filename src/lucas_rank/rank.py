@@ -80,6 +80,20 @@ def is_prime(n: int) -> bool:
     return all(_is_spsp(n, a) for a in bases)
 
 
+def require_prime(p: int) -> None:
+    """Refuse a p that is not prime."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
+def require_rank_modulus(params: LucasParams, m: int) -> None:
+    """Refuse an m with no rank: m < 1, or m sharing a factor with b."""
+    if m < 1:
+        raise BadRange(f"need m >= 1, got {m}")
+    if math.gcd(m, params.b) != 1:
+        raise NotCoprimeToB(f"gcd({m}, {params.b}) > 1, rank undefined")
+
+
 def _rho_brent(n: int, rng: random.Random) -> int:
     """One nontrivial factor of odd composite n (Brent's cycle variant)."""
     while True:
@@ -130,21 +144,17 @@ def factorize(x: int, *, bound: int = FACTOR_BOUND, seed: int = 0) -> Factorizat
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
-            # no factor below 10^4 survives, so small leftovers are prime
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            rng = random.Random(seed)
-            stack = [n]
-            while stack:
-                t = stack.pop()
-                if is_prime(t):
-                    counts[t] = counts.get(t, 0) + 1
-                    continue
-                d = _rho_brent(t, rng)
-                stack.append(d)
-                stack.append(t // d)
+    rng = None
+    stack = [n] if n > 1 else []
+    while stack:
+        t = stack.pop()
+        if t < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(t):
+            # no factor below 10^4 survives, so small cofactors are prime
+            counts[t] = counts.get(t, 0) + 1
+            continue
+        rng = rng or random.Random(seed)
+        d = _rho_brent(t, rng)
+        stack += (d, t // d)
     return Factorization(x, tuple(sorted(counts.items())))
 
 
@@ -152,6 +162,8 @@ def nu_in_u(params: LucasParams, p: int, k: int) -> int:
     """v_p(U_k) for k >= 1, computed from residues mod growing powers of p."""
     if k < 1:
         raise BadRange("U_0 = 0 has no finite valuation")
+    if p < 2:
+        raise BadRange(f"need p >= 2, got {p}")
     e = 8
     while True:
         r = uv_mod(params, k, p ** e)[0]
@@ -273,10 +285,7 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all)
     and NotFound when the cap is exhausted.
     """
-    if m < 1:
-        raise BadRange(f"need m >= 1, got {m}")
-    if math.gcd(m, params.b) != 1:
-        raise NotCoprimeToB(f"gcd({m}, {params.b}) > 1, rank undefined")
+    require_rank_modulus(params, m)
     am = params.a % m
     bm = params.b % m
     u0, u1 = 0, 1 % m
@@ -350,20 +359,17 @@ def _strip_to_minimum(
 def tau_prime(params: LucasParams, p: int, *, seed: int = 0) -> TauResult:
     """tau(p) for prime p not dividing b.
 
-    p | delta forces tau(p) = p, and tau(2) is 2 or 3 by parity of a.
+    p | delta forces tau(p) = p; tau(2) is 2 for even a (2 | delta), else 3.
     Otherwise tau(p) divides p - chi(p), where chi is the quadratic
     character of delta mod p, so stripping divisors of p - chi(p) finds
     the minimum.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if params.b % p == 0:
-        raise NotCoprimeToB(f"{p} divides b = {params.b}")
+    require_prime(p)
+    require_rank_modulus(params, p)
     if params.delta % p == 0:
         return TauResult(p, "factorization-lift")
-    if p == 2:
-        # 2 | U_2 = a when a is even; otherwise U_3 = a^2 + b is even
-        return TauResult(2 if params.a % 2 == 0 else 3, "factorization-lift")
+    if p == 2:  # an even a makes 2 | delta, so a is odd here and 2 | U_3 = a^2 + b
+        return TauResult(3, "factorization-lift")
     eps = 1 if pow(params.delta % p, (p - 1) // 2, p) == 1 else -1
     value, witness = _strip_to_minimum(params, p, p - eps, seed)
     return TauResult(value, "divisor-minimality", witness)
@@ -383,10 +389,7 @@ def tau_prime_power(params: LucasParams, p: int, e: int, *, seed: int = 0) -> Ta
 
 def tau(params: LucasParams, m: int, *, seed: int = 0) -> TauResult:
     """tau(m) as the lcm of the prime-power ranks dividing m."""
-    if m < 1:
-        raise BadRange(f"need m >= 1, got {m}")
-    if math.gcd(m, params.b) != 1:
-        raise NotCoprimeToB(f"gcd({m}, {params.b}) > 1, rank undefined")
+    require_rank_modulus(params, m)
     if m == 1:
         return TauResult(1, "factorization-lift")
     value = 1
@@ -407,8 +410,7 @@ def tau_min_divisor_oracle(
         raise BadRange(f"need target >= 2, got {target}")
     if multiple < 1:
         raise BadRange(f"need multiple >= 1, got {multiple}")
-    if math.gcd(target, params.b) != 1:
-        raise NotCoprimeToB(f"gcd({target}, {params.b}) > 1, rank undefined")
+    require_rank_modulus(params, target)
     if uv_mod(params, multiple, target)[0] != 0:
         raise NotAMultiple(f"{target} does not divide U_{multiple}")
     value, witness = _strip_to_minimum(params, target, multiple, seed)

@@ -9,7 +9,7 @@ form covers them.
 from dataclasses import dataclass
 
 from . import rank
-from .errors import BadRange, NotPrime, PrimeDividesB, ZeroArgument
+from .errors import BadRange, PrimeDividesB, ZeroArgument
 from .lucas_core import LucasParams, nu, u_exact
 
 
@@ -20,21 +20,16 @@ class Valuation:
     case: str | None = None
 
 
-def _require_prime(p: int) -> None:
-    if not rank.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-
-
 def nu_int(p: int, x: int) -> Valuation:
     """v_p(x) for a nonzero integer x."""
-    _require_prime(p)
+    rank.require_prime(p)
     if x == 0:
         raise ZeroArgument("0 has no finite valuation")
     return Valuation(nu(p, x), p)
 
 
 def _check_args(params: LucasParams, p: int, n: int) -> None:
-    _require_prime(p)
+    rank.require_prime(p)
     if params.b % p == 0:
         raise PrimeDividesB(f"{p} divides b = {params.b}, no closed form applies")
     if n == 0:

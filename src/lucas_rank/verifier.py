@@ -189,10 +189,10 @@ def sweep(
 ) -> SweepReport:
     """Check one closed form over a grid; see module docstring.
 
-    `ranges` overrides the theorem's default ranges key by key
-    ({"m": (3, 20), "n": (3, 20)} for the pair forms, {"n": (1, 60),
-    "p": (3, 5, 7)} for the triple); a key or a bound given as None keeps
-    its default, and a key the theorem does not take is refused.
+    `ranges` overrides the theorem's defaults key by key with (low, high)
+    int pairs ({"m": (3, 20), "n": (3, 20)}; the triple's {"n": (1, 60)})
+    and a tuple of primes ({"p": (3, 5, 7)}); a key or a bound given as
+    None keeps its default, and any other shape or key is refused.
     `scan_below` (default 10^7) applies to the divisor-minimality oracle
     only.  Cells are independent, so jobs > 1 evaluates them in worker
     processes, at most one per CPU and per cell; the report keeps
@@ -210,9 +210,13 @@ def sweep(
     for key, given in (ranges or {}).items():
         if key not in grid:
             raise BadRange(f"theorem {theorem} takes no range for {key}")
-        if given is not None:  # the triple's primes are listed, not bounded
-            grid[key] = given if key == "p" else tuple(
-                d if g is None else g for g, d in zip(given, grid[key]))
+        given = grid[key] if given is None else given  # None keeps the default
+        listed = key == "p"  # the triple's primes are listed, not bounded
+        if not (isinstance(given, (tuple, list)) and (listed or len(given) == 2)
+                and all(isinstance(g, int) or g is None and not listed for g in given)):
+            raise BadRange(f"malformed range for {key}: {given!r}")
+        grid[key] = given if listed else tuple(
+            d if g is None else g for g, d in zip(given, grid[key]))
     for key, bounds in grid.items():
         if not bounds or (key != "p" and bounds[0] > bounds[1]):
             raise BadRange(f"empty range for {key}: {bounds}")

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucas_rank.closed_form import (
     ClosedFormResult,
@@ -11,7 +13,7 @@ from lucas_rank.closed_form import (
     tau_um_vn,
     tau_vm_vn,
 )
-from lucas_rank.errors import BadRange, NotEligible, NotOddPrime
+from lucas_rank.errors import BadRange, Degenerate, NotCoprime, NotEligible, NotOddPrime
 from lucas_rank.lucas_core import make_params, u_exact, v_exact
 from lucas_rank.rank import tau_min_divisor_oracle, tau_scan
 
@@ -223,3 +225,48 @@ class TestGuards:
             tau_triple(params, 5, 9)
         with pytest.raises(NotOddPrime):
             tau_triple(params, 5, 15)
+
+
+def _eligible(ab):
+    try:
+        return make_params(*ab).theorem_eligible
+    except (NotCoprime, Degenerate):
+        return False
+
+
+# eligible (a, b) with a <= 40 and b <= 100: with the indices below every
+# closed-form value is an index uv_mod takes (below 2^63), so also one the
+# oracle's strip can factor (below FACTOR_BOUND)
+_eligible_st = st.integers(1, 40).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(-(a * a // 4), 100))).filter(_eligible)
+_PRODUCTS = {
+    tau_um_vn: lambda params, m, n: u_exact(params, m) * v_exact(params, n),
+    tau_um_un: lambda params, m, n: u_exact(params, m) * u_exact(params, n),
+    tau_vm_vn: lambda params, m, n: v_exact(params, m) * v_exact(params, n),
+}
+
+
+@pytest.mark.parametrize("form", _PRODUCTS, ids=lambda f: f.__name__)
+@given(_eligible_st, st.integers(3, 10), st.integers(3, 10))
+@settings(max_examples=60, deadline=None)
+def test_pair_forms_match_oracle_for_random_params(form, ab, m, n):
+    params = make_params(*ab)
+    value = form(params, m, n).value
+    target = _PRODUCTS[form](params, m, n)
+    assert tau_min_divisor_oracle(params, target, value).value == value
+
+
+# p = 3 reaches all four branches; p = 5 stops below n = 10, where the
+# U_5^2 * V_5 branch passes 2^63 for the larger a
+_triple_points_st = st.tuples(st.integers(1, 15), st.sampled_from([3, 5])).filter(
+    lambda point: point[1] == 3 or point[0] < 10)
+
+
+@given(_eligible_st, _triple_points_st)
+@settings(max_examples=60, deadline=None)
+def test_triple_matches_oracle_for_random_params(ab, point):
+    params = make_params(*ab)
+    n, p = point
+    value = tau_triple(params, n, p).value
+    target = u_exact(params, n) * u_exact(params, n + p) * u_exact(params, n + 2 * p)
+    assert tau_min_divisor_oracle(params, target, value).value == value

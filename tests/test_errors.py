@@ -35,6 +35,8 @@ BAD_CALLS = {
     "uv_mod-index": (uv_mod, (FIB, -1, 5)),
     "factorize": (factorize, (1,)),
     "nu_in_u": (nu_in_u, (FIB, 3, 0)),
+    "nu_in_u-p-1": (nu_in_u, (FIB, 1, 5)),
+    "nu_in_u-p-minus-1": (nu_in_u, (FIB, -1, 5)),
     "tau": (tau, (FIB, 0)),
     "tau_scan": (tau_scan, (FIB, 0, 10)),
     "tau_prime": (tau_prime, (FIB, 4)),
@@ -53,6 +55,11 @@ BAD_CALLS = {
     "sweep-inverted-range": (lambda: sweep(FIB, "um-vn", {"m": (10, 3)}), ()),
     "sweep-no-primes": (lambda: sweep(FIB, "triple", {"p": ()}), ()),
     "sweep-repeated-prime": (lambda: sweep(FIB, "triple", {"p": (3, 3)}), ()),
+    "sweep-one-bound": (lambda: sweep(FIB, "um-un", {"m": (5,)}), ()),
+    "sweep-bare-bound": (lambda: sweep(FIB, "um-un", {"m": 5}), ()),
+    "sweep-bare-prime": (lambda: sweep(FIB, "triple", {"p": 3}), ()),
+    "sweep-non-int-bound": (lambda: sweep(FIB, "um-un", {"n": ("a", 3)}), ()),
+    "sweep-three-bounds": (lambda: sweep(FIB, "um-un", {"m": (3, 4, 9), "n": (3, 3)}), ()),
     "sweep-scan-below-with-scan-oracle": (
         lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, oracle="scan", scan_below=0), ()),
 }

@@ -99,6 +99,13 @@ class TestFactorize:
         assert factorize(n, seed=0).factors == ((10007, 1), (10009, 1))
         assert _rho_brent(n, random.Random(0)) in (10007, 10009)
 
+    def test_brent_retry(self):
+        # with seed 0 the first constants collapse the cycle even when backtracking,
+        # so Brent's variant draws fresh ones from the same generator
+        n = 10037 * 10193
+        assert factorize(n, seed=0).factors == ((10037, 1), (10193, 1))
+        assert _rho_brent(n, random.Random(0)) in (10037, 10193)
+
     def test_deterministic_across_seeds(self):
         x = 999983 * 1000003 * 17
         assert factorize(x, seed=0) == factorize(x, seed=1234)
@@ -371,7 +378,7 @@ class TestTauPrime:
             tau_prime(make_params(1, 1), 1)
 
     def test_rejects_prime_dividing_b(self):
-        with pytest.raises(NotCoprimeToB):
+        with pytest.raises(NotCoprimeToB, match=r"^gcd\(2, 2\) > 1, rank undefined$"):
             tau_prime(make_params(1, 2), 2)
 
 
@@ -443,6 +450,14 @@ class TestTau:
                 continue
             assert tau(params, m).value == tau_scan(params, m, cap=10 * m * m + 10).value
 
+    @given(_params_st, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scan_for_random_params(self, ab, data):
+        params = make_params(*ab)
+        m = data.draw(st.integers(1, 5000).filter(lambda m: math.gcd(m, params.b) == 1))
+        # tau(m) <= prod p^(e-1) * tau(p) <= m * prod (1 + 1/p) < 3m for m <= 5000
+        assert tau(params, m).value == tau_scan(params, m, cap=4 * m).value
+
     def test_divides_iff_rank_divides_index(self):
         # the defining property: m | U_k exactly when tau(m) | k
         for a, b in [(1, 1), (1, 2), (3, -1)]:
@@ -510,6 +525,12 @@ class TestNuInU:
                     value //= p
                     expect += 1
                 assert nu_in_u(params, p, k) == expect
+
+    @pytest.mark.parametrize("p", [1, 0, -1, -5])
+    def test_rejects_p_below_2(self, p):
+        # uv_mod(.., 1) is always 0, so p = +-1 would double the precision forever
+        with pytest.raises(BadRange, match=rf"^need p >= 2, got {p}$"):
+            nu_in_u(make_params(1, 1), p, 5)
 
     def test_precision_doubles_past_the_first_power(self):
         # 2^10 | U_768 while the first modulus tried is 2^8, so e must double once

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucas_rank.errors import Degenerate, NotCoprime, NotPrime, PrimeDividesB, ZeroArgument
 from lucas_rank.lucas_core import make_params, u_exact, v_exact
+from lucas_rank.rank import is_prime
 from lucas_rank.valuation import Valuation, nu_int, nu_u, nu_v
 
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
@@ -178,3 +181,25 @@ class TestStructuralFacts:
             u3, u6 = u_exact(p, 3), u_exact(p, 6)
             assert _nu_slow(2, u3) >= 2
             assert _nu_slow(2, u6) == _nu_slow(2, u3) + 1
+
+
+def _valid(ab):
+    try:
+        make_params(*ab)
+    except (NotCoprime, Degenerate):
+        return False
+    return True
+
+
+# (a, b) with |a|, |b| <= 10^6, coprime and non-degenerate; delta < 0 included
+_params_st = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(_valid)
+
+
+@given(_params_st, st.data())
+@settings(max_examples=100, deadline=None)
+def test_closed_forms_match_direct_valuation_for_random_params(ab, data):
+    params = make_params(*ab)
+    p = data.draw(st.sampled_from([p for p in range(2, 50) if is_prime(p) and ab[1] % p]))
+    n = data.draw(st.integers(1, 300))
+    assert nu_u(params, p, n).value == _nu_slow(p, u_exact(params, n))
+    assert nu_v(params, p, n).value == _nu_slow(p, v_exact(params, n))

@@ -137,6 +137,22 @@ class TestSweep:
         with pytest.raises(BadRange, match=f"^theorem {theorem} takes no range for {key}$"):
             sweep(FIB, theorem, ranges)
 
+    @pytest.mark.parametrize(
+        "theorem, ranges, key",
+        [
+            ("um-un", {"m": (5,)}, "m"),
+            ("um-un", {"m": 5}, "m"),
+            ("triple", {"p": 3}, "p"),
+            ("triple", {"p": (3, None)}, "p"),
+            ("um-un", {"n": ("a", 3)}, "n"),
+            ("um-un", {"m": (3, 4, 9), "n": (3, 3)}, "m"),
+        ],
+    )
+    def test_malformed_bounds_refused_before_any_cell(self, monkeypatch, theorem, ranges, key):
+        monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
+        with pytest.raises(BadRange, match=f"^malformed range for {key}: "):
+            sweep(FIB, theorem, ranges)
+
 
 class TestTheoremTable:
     def test_order_and_label_sets(self):
