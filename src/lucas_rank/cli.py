@@ -166,68 +166,55 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     top = parser.add_subparsers(dest="command", required=True)
 
-    seq = top.add_parser("seq", help="evaluate U_n or V_n").add_subparsers(
-        dest="which", required=True)
-    for name in ("u", "v"):
-        p = seq.add_parser(name, parents=[common])
-        p.add_argument("--n", type=_nonneg, required=True)
-        p.set_defaults(func=_handler(_seq))
-    p = seq.add_parser("mod", parents=[common])
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--modulus", type=_positive, required=True)
-    p.set_defaults(func=_handler(_seq_mod))
+    def group(name, text):
+        """A subcommand that only holds subcommands, chosen as ns.which."""
+        return top.add_parser(name, help=text).add_subparsers(dest="which", required=True)
 
-    val = top.add_parser("val", help="p-adic valuations").add_subparsers(
-        dest="which", required=True)
+    def command(parent, name, compute, flags, **kwargs):
+        """A subcommand printed by _handler(compute); flags maps each to (type, help)."""
+        p = parent.add_parser(name, parents=[common], **kwargs)
+        for flag, (kind, text) in flags.items():
+            p.add_argument(flag, type=kind, required=True, help=text)
+        p.set_defaults(func=_handler(compute))
+        return p
+
+    seq = group("seq", "evaluate U_n or V_n")
+    for name in ("u", "v"):
+        command(seq, name, _seq, {"--n": (_nonneg, None)})
+    command(seq, "mod", _seq_mod, {"--n": (_nonneg, None), "--modulus": (_positive, None)})
+
+    val = group("val", "p-adic valuations")
     for name, arg, kind, compute in (
         ("u", "--n", _positive, lambda ns: nu_u(_params(ns), ns.p, ns.n)),
         ("v", "--n", _positive, lambda ns: nu_v(_params(ns), ns.p, ns.n)),
         ("int", "--x", int, lambda ns: nu_int(ns.p, ns.x)),
     ):
-        p = val.add_parser(name, parents=[common])
-        p.add_argument("--p", type=_positive, required=True)
-        p.add_argument(arg, type=kind, required=True)
-        p.set_defaults(func=_handler(compute))
+        command(val, name, compute, {"--p": (_positive, None), arg: (kind, None)})
 
-    gcd = top.add_parser("gcd", help="gcd closed forms").add_subparsers(
-        dest="which", required=True)
+    gcd = group("gcd", "gcd closed forms")
     for name, fn in (("uu", gcd_uu), ("vv", gcd_vv), ("uv", gcd_uv)):
-        p = gcd.add_parser(name, parents=[common])
-        p.add_argument("--m", type=_positive, required=True)
-        p.add_argument("--n", type=_positive, required=True)
-        p.set_defaults(func=_handler(lambda ns, fn=fn: fn(_params(ns), ns.m, ns.n)))
+        command(gcd, name, lambda ns, fn=fn: fn(_params(ns), ns.m, ns.n),
+                {"--m": (_positive, None), "--n": (_positive, None)})
 
-    div = top.add_parser("divides", help="index-based divisibility").add_subparsers(
-        dest="which", required=True)
+    div = group("divides", "index-based divisibility")
     for name in ("uu", "vu"):
-        p = div.add_parser(name, parents=[common])
-        p.add_argument("--n", type=_positive, required=True, help="divisor index")
-        p.add_argument("--m", type=_positive, required=True, help="dividend index")
-        p.set_defaults(func=_handler(_divides))
+        command(div, name, _divides, {"--n": (_positive, "divisor index"),
+                                      "--m": (_positive, "dividend index")})
 
-    p = top.add_parser("tau", parents=[common], help="rank of apparition, fast path")
-    p.add_argument("--m", type=_positive, required=True)
-    p.set_defaults(func=_handler(lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed)))
-
-    p = top.add_parser("tau-scan", parents=[common],
-                       help="rank of apparition by definitional scan")
-    p.add_argument("--m", type=_positive, required=True)
+    command(top, "tau", lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed),
+            {"--m": (_positive, None)}, help="rank of apparition, fast path")
+    p = command(top, "tau-scan", lambda ns: rank.tau_scan(
+        _params(ns), ns.m, ns.cap or 10 * ns.m * ns.m + 10), {"--m": (_positive, None)},
+        help="rank of apparition by definitional scan")
     p.add_argument("--cap", type=_positive, default=None,
                    help="scan limit (default 10*m^2 + 10)")
-    p.set_defaults(func=_handler(
-        lambda ns: rank.tau_scan(_params(ns), ns.m, ns.cap or 10 * ns.m * ns.m + 10)))
 
-    formula = top.add_parser("formula", help="closed forms for tau of products") \
-        .add_subparsers(dest="which", required=True)
+    formula = group("formula", "closed forms for tau of products")
     for name, theorem in verifier.THEOREM_TABLE.items():
-        p = formula.add_parser(name, parents=[common])
-        for key in theorem.keys:
-            p.add_argument(f"--{key}", type=_positive, required=True)
-        p.set_defaults(func=_handler(
-            lambda ns, theorem=theorem: theorem.evaluate(_params(ns), vars(ns))))
+        command(formula, name, lambda ns, theorem=theorem: theorem.evaluate(
+            _params(ns), vars(ns)), {f"--{key}": (_positive, None) for key in theorem.keys})
 
-    verify = top.add_parser("verify", help="grid verification reports").add_subparsers(
-        dest="which", required=True)
+    verify = group("verify", "grid verification reports")
     report_common = argparse.ArgumentParser(add_help=False)
     report_common.add_argument("--csv", type=_csv_path, default=None, metavar="PATH",
                                help="also write the cells to a CSV file")

@@ -282,10 +282,12 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     k is still decided by m | U_k alone.  Without such a d (m >= 2^24
     with no prime factor below 10^4) the scan steps one by one to cap.
 
-    Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all)
-    and NotFound when the cap is exhausted.
+    Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all),
+    BadRange for a cap below 1, and NotFound when the cap is exhausted.
     """
     require_rank_modulus(params, m)
+    if cap < 1:
+        raise BadRange(f"need cap >= 1, got {cap}")
     am = params.a % m
     bm = params.b % m
     u0, u1 = 0, 1 % m

@@ -42,7 +42,7 @@ class Theorem:
 
     closed_form: str  # function name in `closed_form`, looked up on each call
     keys: tuple[str, ...]  # point keys in argument order; also the CLI flags
-    terms: tuple  # factors of the product: ("U" | "V", index as a function of the keys)
+    exact_product: Callable[..., int]  # (params, *keys) -> the product, exactly
     grid: Callable[[dict], list[dict]]
     defaults: dict
     labels: frozenset
@@ -54,34 +54,28 @@ class Theorem:
         return fn(params, *map(point.__getitem__, self.keys))
 
     def product(self, params: LucasParams, point: dict) -> int:
-        """The product of the terms at a point holding exactly `keys`, computed exactly."""
-        value = 1
-        for kind, index in self.terms:
-            value *= (u_exact if kind == "U" else v_exact)(params, index(**point))
-        return value
+        """The product at one point, computed exactly; extra keys in `point` are ignored."""
+        return self.exact_product(params, *map(point.__getitem__, self.keys))
 
 
 _PAIR_DEFAULTS = {"m": (3, 20), "n": (3, 20)}
 
 THEOREM_TABLE = {
     "um-vn": Theorem(
-        "tau_um_vn", ("m", "n"),
-        (("U", lambda m, n: m), ("V", lambda m, n: n)),
+        "tau_um_vn", ("m", "n"), lambda P, m, n: u_exact(P, m) * v_exact(P, n),
         _pair_grid, _PAIR_DEFAULTS, frozenset({"2lcm", "lcm*V_d"}),
     ),
     "um-un": Theorem(
-        "tau_um_un", ("m", "n"),
-        (("U", lambda m, n: m), ("U", lambda m, n: n)),
+        "tau_um_un", ("m", "n"), lambda P, m, n: u_exact(P, m) * u_exact(P, n),
         _pair_grid, _PAIR_DEFAULTS, frozenset({"lcm*U_d"}),
     ),
     "vm-vn": Theorem(
-        "tau_vm_vn", ("m", "n"),
-        (("V", lambda m, n: m), ("V", lambda m, n: n)),
+        "tau_vm_vn", ("m", "n"), lambda P, m, n: v_exact(P, m) * v_exact(P, n),
         _pair_grid, _PAIR_DEFAULTS, frozenset({"lcm*gcd", "2lcm*gcd"}),
     ),
     "triple": Theorem(
         "tau_triple", ("n", "p"),
-        (("U", lambda n, p: n), ("U", lambda n, p: n + p), ("U", lambda n, p: n + 2 * p)),
+        lambda P, n, p: u_exact(P, n) * u_exact(P, n + p) * u_exact(P, n + 2 * p),
         _triple_grid, {"n": (1, 60), "p": (3, 5, 7)},
         frozenset({"p!|n,2!|n", "p!|n,2|n", "p|n,2!|n", "p|n,2|n"}),
     ),
@@ -202,6 +196,8 @@ def sweep(
         raise BadRange(f"unknown theorem tag: {theorem}")
     if oracle not in ORACLES:
         raise BadRange(f"unknown oracle: {oracle}")
+    if jobs < 1:
+        raise BadRange(f"need jobs >= 1, got {jobs}")
     if scan_below is None:
         scan_below = DEFAULT_SCAN_BELOW
     elif oracle == "scan":
@@ -344,12 +340,16 @@ def report_to_dict(report: SweepReport, *, include_timings: bool = False) -> dic
 
 
 def report_from_dict(data: dict) -> SweepReport:
-    return SweepReport(
-        make_params(data["params"]["a"], data["params"]["b"]),
-        data["theorem"],
-        [SweepCell(**c) for c in data["cells"]],
-        SweepSummary(**data["summary"]),
-    )
+    """The report `report_to_dict` gave; a missing or unknown field raises BadRange."""
+    try:
+        return SweepReport(
+            make_params(data["params"]["a"], data["params"]["b"]),
+            data["theorem"],
+            [SweepCell(**c) for c in data["cells"]],
+            SweepSummary(**data["summary"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise BadRange(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
 def report_to_json(report: SweepReport, *, include_timings: bool = False) -> str:

@@ -1,0 +1,27 @@
+"""The benchmark's span tracer still finds every layer a CLI call runs through.
+
+`perfbench/spans.py` rebinds functions by module attribute, so a layer
+that is imported under another name or captured before the rebinding
+would silently drop out of the per-layer metrics.
+"""
+
+from pathlib import Path
+
+from lucas_rank import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_counts_every_layer_of_a_cli_call(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    with spans.Tracer() as tracer:
+        assert cli.run(["verify", "sweep", "--theorem", "um-un", "--m-max", "4",
+                        "--n-max", "4"]) == 0
+        assert cli.run(["gcd", "uu", "--m", "9", "--n", "15"]) == 0
+    assert capsys.readouterr().out.endswith("\n2\n")  # gcd(U_9, U_15) = U_3
+    calls = tracer.raw()["calls"]
+    for name in ("verifier.sweep", "closed_form.tau_um_un", "lucas_core.exact.u",
+                 "rank.tau_min_divisor_oracle", "rank.tau_scan", "gcd_identities.gcd_uu"):
+        assert calls.get(name, 0) > 0, name

@@ -10,6 +10,7 @@ from lucas_rank import (
     nu_int,
     nu_u,
     nu_v,
+    report_from_dict,
     sweep,
     tau,
     tau_min_divisor_oracle,
@@ -39,6 +40,8 @@ BAD_CALLS = {
     "nu_in_u-p-minus-1": (nu_in_u, (FIB, -1, 5)),
     "tau": (tau, (FIB, 0)),
     "tau_scan": (tau_scan, (FIB, 0, 10)),
+    "tau_scan-cap-0": (tau_scan, (FIB, 5, 0)),
+    "tau_scan-cap-minus-1": (tau_scan, (FIB, 5, -1)),
     "tau_prime": (tau_prime, (FIB, 4)),
     "tau_prime_power": (tau_prime_power, (FIB, 3, 0)),
     "tau_min_divisor_oracle-target": (tau_min_divisor_oracle, (FIB, 1, 5)),
@@ -62,6 +65,12 @@ BAD_CALLS = {
     "sweep-three-bounds": (lambda: sweep(FIB, "um-un", {"m": (3, 4, 9), "n": (3, 3)}), ()),
     "sweep-scan-below-with-scan-oracle": (
         lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, oracle="scan", scan_below=0), ()),
+    "sweep-jobs-0": (lambda: sweep(FIB, "um-un", jobs=0), ()),
+    "sweep-jobs-minus-3": (lambda: sweep(FIB, "um-un", jobs=-3), ()),
+    "report_from_dict-empty": (report_from_dict, ({},)),
+    "report_from_dict-unknown-cell-key": (lambda: report_from_dict({
+        "params": {"a": 1, "b": 1}, "theorem": "um-un", "cells": [{"bogus": 1}],
+        "summary": {"total": 0, "agreed": 0, "disagreed": 0, "branch_coverage": {}}}), ()),
 }
 
 
@@ -69,6 +78,23 @@ BAD_CALLS = {
 def test_bad_argument_raises_lucas_rank_error(name):
     fn, args = BAD_CALLS[name]
     with pytest.raises(LucasRankError):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("tau_scan-cap-0", "need cap >= 1, got 0"),
+        ("tau_scan-cap-minus-1", "need cap >= 1, got -1"),
+        ("sweep-jobs-0", "need jobs >= 1, got 0"),
+        ("sweep-jobs-minus-3", "need jobs >= 1, got -3"),
+        ("report_from_dict-empty", "malformed report: KeyError: 'params'"),
+        ("report_from_dict-unknown-cell-key", "malformed report: TypeError: .*'bogus'"),
+    ],
+)
+def test_refused_as_bad_range(name, message):
+    fn, args = BAD_CALLS[name]
+    with pytest.raises(BadRange, match=f"^{message}$"):
         fn(*args)
 
 

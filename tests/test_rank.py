@@ -174,6 +174,8 @@ def _reference_scan(params, m, cap):
         raise BadRange(f"need m >= 1, got {m}")
     if math.gcd(m, params.b) != 1:
         raise NotCoprimeToB(f"gcd({m}, {params.b}) > 1, rank undefined")
+    if cap < 1:
+        raise BadRange(f"need cap >= 1, got {cap}")
     am = params.a % m
     bm = params.b % m
     u0, u1 = 0, 1 % m
