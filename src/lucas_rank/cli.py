@@ -121,9 +121,12 @@ def _resolve_jobs(ns) -> int:
     raw = os.environ.get("LUCAS_RANK_JOBS", "")
     if raw:
         try:
-            return max(1, int(raw))
+            jobs = int(raw)
         except ValueError:
-            print(f"warning: ignoring LUCAS_RANK_JOBS={raw!r}", file=sys.stderr)
+            jobs = 0
+        if jobs >= 1:
+            return jobs
+        print(f"warning: ignoring LUCAS_RANK_JOBS={raw!r}", file=sys.stderr)
     return 1
 
 

@@ -34,50 +34,56 @@ class TauResult:
     witness: tuple[int, ...] | None = None
 
 
-def _sieve(limit: int) -> list[int]:
+def _sieve(limit: int) -> bytearray:
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(limit) if flags[i]]
+    return flags
 
 
-_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+_SMALL_PRIME_FLAGS = _sieve(_TRIAL_LIMIT)  # 1 at each prime below 10^4
+_SMALL_PRIMES = [i for i, flag in enumerate(_SMALL_PRIME_FLAGS) if flag]
 _PRIME_TEST_DIVISORS = tuple(_SMALL_PRIMES[:64])  # trial division before Miller-Rabin
 
-# Strong-probable-prime bases: the first 13 primes certify every
-# n < 3.3e24 (beyond 2^81).  Larger inputs get extra fixed bases; with
-# inputs capped at 2^96 a false positive is not a practical concern.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-_MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
+# Below 10^4 the sieve answers.  Above, the first k primes as strong-probable-prime bases
+# certify every n < psi_k, the least strong pseudoprime to all k (Jaeschke, Math. Comp. 1993;
+# Sorenson-Webster, Math. Comp. 2017); psi_7 = psi_8 and psi_9 = psi_11.  From psi_13 all 25
+# primes below 100 are used: unproven, but no practical concern for inputs capped at 2^96.
+_MR_BASES = tuple(_SMALL_PRIMES[:25])
+_MR_PSI = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_747, 5),
+           (3_474_749_660_383, 6), (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+           (318_665_857_834_031_151_167_461, 12), (3_317_044_064_679_887_385_961_981, 13))
 
 
-def _is_spsp(n: int, base: int) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    x = pow(base % n, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(r - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
+def _is_sprp(n: int, bases: tuple[int, ...]) -> bool:
+    """Whether odd n > every base is a strong probable prime to each base."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r * d with d odd
+    d = (n - 1) >> r
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    if n < _TRIAL_LIMIT:
+        return n >= 0 and _SMALL_PRIME_FLAGS[n] == 1
     for p in _PRIME_TEST_DIVISORS:
         if n % p == 0:
-            return n == p
-    bases = _MR_BASES if n < _MR_CERTIFIED_BELOW else _MR_BASES + _MR_EXTRA_BASES
-    return all(_is_spsp(n, a) for a in bases)
+            return False
+    for psi, k in _MR_PSI:
+        if n < psi:
+            return _is_sprp(n, _MR_BASES[:k])
+    return _is_sprp(n, _MR_BASES)
 
 
 def require_prime(p: int) -> None:

@@ -344,6 +344,26 @@ class TestVerify:
         assert code == 0
         assert "LUCAS_RANK_JOBS" in err
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_jobs_env_below_one_warns_and_runs_serially(self, capsys, monkeypatch, raw):
+        real = verifier.sweep
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["jobs"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "sweep", recording)
+        monkeypatch.setenv("LUCAS_RANK_JOBS", raw)
+        code, out, err = _run(
+            capsys, "verify", "sweep", "--theorem", "um-un",
+            "--m-min", "3", "--m-max", "3", "--n-min", "3", "--n-max", "3",
+        )
+        assert code == 0
+        assert "agreed=1" in out
+        assert err == f"warning: ignoring LUCAS_RANK_JOBS='{raw}'\n"
+        assert seen == [1]
+
     def test_remark_json(self, capsys):
         code, out, _ = _run(capsys, "verify", "remark", "--format", "json")
         assert code == 0

@@ -22,6 +22,7 @@ from lucas_rank.rank import (
     Factorization,
     TauResult,
     _Lanes,
+    _MR_PSI,
     _rho_brent,
     factorize,
     is_prime,
@@ -47,6 +48,20 @@ def _is_prime_slow(n):
     return True
 
 
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 class TestIsPrime:
     def test_small(self):
         odds = [n for n in range(2, 2000) if is_prime(n)]
@@ -61,6 +76,51 @@ class TestIsPrime:
         assert not is_prime((2**61 - 1) * 3)
         assert is_prime(999983)
         assert is_prime(1000003)
+
+    def test_agrees_with_a_sieve_below_3e5(self):
+        limit = 300_000
+        flags = bytearray([1]) * limit
+        flags[:2] = b"\x00\x00"
+        for i in range(2, math.isqrt(limit) + 1):
+            if flags[i]:
+                flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+        assert [n for n in range(-3, limit) if is_prime(n)] == [
+            n for n in range(limit) if flags[n]
+        ]
+
+    @pytest.mark.parametrize("psi", [1_373_653, 25_326_001])
+    def test_agrees_with_trial_division_around_psi(self, psi):
+        window = range(psi - 2000, psi + 2001)
+        assert [n for n in window if is_prime(n)] == [n for n in window if _is_prime_slow(n)]
+
+    # (psi_k, k, a proper divisor of psi_k, how many leading prime bases it fools)
+    PSI_ROWS = [
+        (1_373_653, 2, 829, 2),
+        (25_326_001, 3, 2251, 3),
+        (3_215_031_751, 4, 151, 4),
+        (2_152_302_898_747, 5, 6763, 5),
+        (3_474_749_660_383, 6, 1303, 6),
+        (341_550_071_728_321, 7, 10_670_053, 8),
+        (3_825_123_056_546_413_051, 9, 149_491, 11),
+        (318_665_857_834_031_151_167_461, 12, 399_165_290_221, 12),
+        (3_317_044_064_679_887_385_961_981, 13, 1_287_836_182_261, 13),
+    ]
+
+    def test_psi_table_is_pinned(self):
+        assert _MR_PSI == tuple((psi, k) for psi, k, _, _ in self.PSI_ROWS)
+
+    @pytest.mark.parametrize("psi,k,divisor,fooled", PSI_ROWS)
+    def test_psi_bound_is_a_tight_strong_pseudoprime(self, psi, k, divisor, fooled):
+        assert 1 < divisor < psi and psi % divisor == 0
+        bases = [p for p in range(2, 100) if _is_prime_slow(p)]
+        passed = 0
+        for a in bases:
+            if not _strong_probable_prime(psi, a):
+                break
+            passed += 1
+        # psi_k fools the first k bases, so "n < psi_k" cannot be relaxed to "<="
+        assert k <= passed == fooled
+        assert not is_prime(psi)
 
 
 class TestFactorize:

@@ -1,11 +1,12 @@
 """sympy as a third, independent oracle for primality, factoring and U/V at (1, 1)."""
 
+import math
 import random
 
 import pytest
 
 from lucas_rank.lucas_core import make_params, u_exact, v_exact
-from lucas_rank.rank import factorize, is_prime
+from lucas_rank.rank import _MR_PSI, _PRIME_TEST_DIVISORS, factorize, is_prime
 
 sympy = pytest.importorskip("sympy")
 
@@ -38,6 +39,35 @@ def test_is_prime_on_seeded_numbers():
     assert all(n < 2 ** 96 for n in numbers)
     mismatched = [n for n in numbers if is_prime(n) != sympy.isprime(n)]
     assert mismatched == []
+
+
+def _tier_numbers(lo: int, hi: int, rng: random.Random) -> list[int]:
+    """20 seeded primes, 20 odd numbers and 20 semiprimes with no factor trial division finds."""
+    numbers = []
+    while len(numbers) < 20:
+        p = int(sympy.nextprime(rng.randrange(lo, hi)))
+        if p < hi:
+            numbers.append(p)
+    numbers += [rng.randrange(lo, hi - 1) | 1 for _ in range(20)]
+    # below 10^4 no semiprime escapes trial division, so take any odd factors
+    smallest = 3 if hi <= 10 ** 4 else _PRIME_TEST_DIVISORS[-1] + 1
+    while len(numbers) < 60:
+        p = int(sympy.nextprime(rng.randrange(smallest, math.isqrt(hi))))
+        q = int(sympy.nextprime(rng.randrange(max(p, lo // p), hi // p)))
+        if lo <= p * q < hi:
+            numbers.append(p * q)
+    return numbers
+
+
+# below the sieve limit, then one tier per Miller-Rabin base set
+_TIERS = [2, 10 ** 4] + [psi for psi, _ in _MR_PSI] + [2 ** 96]
+
+
+@pytest.mark.parametrize("lo,hi", list(zip(_TIERS, _TIERS[1:])))
+def test_is_prime_in_each_tier(lo, hi):
+    numbers = _tier_numbers(lo, hi, random.Random(lo))
+    assert sum(map(sympy.isprime, numbers)) >= 20
+    assert [n for n in numbers if is_prime(n) != sympy.isprime(n)] == []
 
 
 def test_factorize_strong_pseudoprime():
