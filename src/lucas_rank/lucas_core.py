@@ -97,14 +97,15 @@ def v_exact(params: LucasParams, n: int) -> SequenceValue:
 def uv_mod(params: LucasParams, n: int, modulus: int) -> tuple[int, int]:
     """(U_n mod modulus, V_n mod modulus) in O(log n) steps.
 
-    Walks the bits of n keeping the pair (U_k, U_{k+1}) and the two
-    division-free doubling identities
+    Keeps (U_k, U_{k+1}) from k = 1 at the leading bit of n.  Each lower
+    bit moves k to 2k if clear, straight to 2k + 1 if set, with two
+    reductions by the three division-free identities
 
         U_{2k}   = U_k * (2*U_{k+1} - a*U_k)
         U_{2k+1} = U_{k+1}^2 + b*U_k^2
+        U_{2k+2} = U_{k+1} * (a*U_{k+1} + 2*b*U_k)
 
-    then recovers V_n = 2*U_{n+1} - a*U_n at the end.  Residues are
-    normalized to [0, modulus).
+    then recovers V_n = 2*U_{n+1} - a*U_n.  Residues are in [0, modulus).
     """
     if modulus == 0:
         raise ZeroModulus("modulus must be positive")
@@ -116,11 +117,12 @@ def uv_mod(params: LucasParams, n: int, modulus: int) -> tuple[int, int]:
         raise TooLarge(f"modular evaluation is capped at index {MOD_INDEX_CAP}, got {n}")
     a = params.a % modulus
     b = params.b % modulus
-    u, w = 0, 1 % modulus  # (U_k, U_{k+1}) for k = 0
-    for i in range(n.bit_length() - 1, -1, -1):
-        t = (2 * w - a * u) % modulus
-        u, w = (u * t) % modulus, (w * w + b * u * u) % modulus
-        if (n >> i) & 1:
-            u, w = w, (a * w + b * u) % modulus
-    v = (2 * w - a * u) % modulus
-    return u, v
+    if n == 0:
+        return 0, 2 % modulus
+    u, w = 1 % modulus, a  # (U_k, U_{k+1}) for k = 1
+    for bit in bin(n)[3:]:
+        if bit == "1":
+            u, w = (w * w + b * u * u) % modulus, w * (a * w + 2 * b * u) % modulus
+        else:
+            u, w = u * (2 * w - a * u) % modulus, (w * w + b * u * u) % modulus
+    return u, (2 * w - a * u) % modulus

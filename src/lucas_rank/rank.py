@@ -165,12 +165,12 @@ def factorize(x: int, *, bound: int = FACTOR_BOUND, seed: int = 0) -> Factorizat
 
 
 def nu_in_u(params: LucasParams, p: int, k: int) -> int:
-    """v_p(U_k) for k >= 1, computed from residues mod growing powers of p."""
+    """v_p(U_k) for k >= 1, from U_k mod p^2, p^4, p^8, ... until one is nonzero."""
     if k < 1:
         raise BadRange("U_0 = 0 has no finite valuation")
     if p < 2:
         raise BadRange(f"need p >= 2, got {p}")
-    e = 8
+    e = 2
     while True:
         r = uv_mod(params, k, p ** e)[0]
         if r:
@@ -388,6 +388,8 @@ def tau_prime_power(params: LucasParams, p: int, e: int, *, seed: int = 0) -> Ta
     if e < 1 and is_prime(p):  # a non-prime p is refused by tau_prime before e is
         raise BadRange(f"need e >= 1, got {e}")
     t = tau_prime(params, p, seed=seed).value
+    if e == 1:  # p | U_t, so the lift e - v_p(U_t) is at most 0
+        return TauResult(t, "factorization-lift")
     lift = e - nu_in_u(params, p, t)
     if p == 2 and t == 3 and lift > 0:
         # odd a: U_{3j} with j odd has the 2-adic weight of U_3, so lift from U_6

@@ -42,6 +42,27 @@ def _u_list(params, count):
     return seq[:count]
 
 
+def _matrix_power(a, b, n, modulus):
+    # right-to-left square-and-multiply, a route apart from the library's ladder
+    result = [[1 % modulus, 0], [0, 1 % modulus]]
+    base = [[a % modulus, b % modulus], [1 % modulus, 0]]
+    while n:
+        if n & 1:
+            result = _matrix_product(result, base, modulus)
+        base = _matrix_product(base, base, modulus)
+        n >>= 1
+    return result
+
+
+def _matrix_product(x, y, modulus):
+    (p, q), (r, s) = x
+    (t, u), (v, w) = y
+    return [
+        [(p * t + q * v) % modulus, (p * u + q * w) % modulus],
+        [(r * t + s * v) % modulus, (r * u + s * w) % modulus],
+    ]
+
+
 def _v_list(params, count):
     seq = [2, params.a]
     while len(seq) < count:
@@ -241,6 +262,18 @@ class TestUvMod:
         period = len(pairs)
         n = 2**40
         assert uv_mod(p, n, 7) == pairs[n % period]
+
+    @pytest.mark.parametrize("a,b", GRID + NEG_DELTA)
+    @pytest.mark.parametrize("modulus", [1, 2, 10**9 + 7, 2**61 - 1, 2**64])
+    def test_bit_length_edges_match_matrix_power(self, a, b, modulus):
+        # n = 2^j - 1, 2^j, 2^j + 1: every step a set bit, every step a
+        # clear bit, and clear bits ending in one set bit (n = 0 included)
+        indices = [2**j + d for j in range(63) for d in (-1, 0, 1)] + [MOD_INDEX_CAP]
+        p = make_params(a, b)
+        for n in indices:
+            # [[a, b], [1, 0]]^n = [[U_{n+1}, b*U_n], [U_n, b*U_{n-1}]]
+            (u_next, _), (u, _) = _matrix_power(a, b, n, modulus)
+            assert uv_mod(p, n, modulus) == (u, (2 * u_next - a * u) % modulus), n
 
     @given(st.sampled_from(VALID_SMALL), st.integers(0, 400), st.integers(1, 10**9))
     @settings(max_examples=120, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucas_rank import rank
 from lucas_rank.errors import (
     BadRange,
     LucasRankError,
@@ -462,12 +463,22 @@ class TestTauPrimePower:
             (1, 2, 3, 2, 9),
             (3, -1, 2, 2, 3),
             (3, -1, 3, 4, 54),
+            # v_p(U_tau(p)) >= 2, so the lift is e - v_p(U_tau(p)), not e - 1
+            (1, 4, 7, 1, 8),
+            (1, 4, 7, 2, 8),
+            (1, 4, 7, 3, 56),
+            (1, 4, 7, 4, 392),
+            (1, -14, 3, 1, 4),
+            (1, -14, 3, 2, 4),
+            (1, -14, 3, 3, 4),
+            (1, -14, 3, 4, 12),
+            (1, -14, 3, 5, 36),
         ],
     )
     def test_known_values(self, a, b, p, e, expected):
         assert tau_prime_power(make_params(a, b), p, e).value == expected
 
-    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (3, -1), (4, -3)])
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2), (3, -1), (4, -3), (1, -14)])
     def test_matches_scan(self, a, b):
         params = make_params(a, b)
         for p in (2, 3, 5):
@@ -477,6 +488,13 @@ class TestTauPrimePower:
                 got = tau_prime_power(params, p, e).value
                 cap = 4 * (p + 1) * p ** (e - 1) + 8
                 assert got == tau_scan(params, p**e, cap=cap).value
+
+    @pytest.mark.parametrize("a,b,p", [(1, 1, 2), (1, 1, 5), (1, 4, 7), (3, -1, 3)])
+    def test_first_power_needs_no_valuation(self, monkeypatch, a, b, p):
+        # p | U_tau(p), so tau(p^1) = tau(p) whatever v_p(U_tau(p)) is
+        params = make_params(a, b)
+        monkeypatch.setattr(rank, "nu_in_u", None)  # a call would raise TypeError
+        assert tau_prime_power(params, p, 1).value == tau_prime(params, p).value
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
@@ -594,12 +612,30 @@ class TestNuInU:
         with pytest.raises(BadRange, match=rf"^need p >= 2, got {p}$"):
             nu_in_u(make_params(1, 1), p, 5)
 
-    def test_precision_doubles_past_the_first_power(self):
-        # 2^10 | U_768 while the first modulus tried is 2^8, so e must double once
-        fib = make_params(1, 1)
-        value, expect = u_exact(fib, 768), 0
-        while value % 2 == 0:
-            value //= 2
+    @staticmethod
+    def _moduli_tried(monkeypatch, params, p, k):
+        value, expect = u_exact(params, k), 0
+        while value % p == 0:
+            value //= p
             expect += 1
+        tried = []
+
+        def recording_uv_mod(params, n, modulus):
+            tried.append(modulus)
+            return uv_mod(params, n, modulus)
+
+        monkeypatch.setattr(rank, "uv_mod", recording_uv_mod)
+        assert nu_in_u(params, p, k) == expect
+        return expect, tried
+
+    def test_precision_doubles_past_the_first_power(self, monkeypatch):
+        # 2^10 | U_768: the moduli 2^2, 2^4 and 2^8 all read 0
+        expect, tried = self._moduli_tried(monkeypatch, make_params(1, 1), 2, 768)
         assert expect == 10
-        assert nu_in_u(fib, 2, 768) == expect
+        assert tried == [2**2, 2**4, 2**8, 2**16]
+
+    def test_precision_doubles_at_an_odd_prime(self, monkeypatch):
+        # U_8 = 441 = 3^2 * 7^2 at (1, 4)
+        expect, tried = self._moduli_tried(monkeypatch, make_params(1, 4), 7, 8)
+        assert expect == 2
+        assert tried == [7**2, 7**4]

@@ -74,6 +74,11 @@ def test_factorize_strong_pseudoprime():
     assert dict(factorize(SPSP_9).factors) == sympy.factorint(SPSP_9)
 
 
+def test_factorize_psi_13():
+    # two primes of 41 and 42 bits, so the split is left to rho
+    assert dict(factorize(PSI_13).factors) == sympy.factorint(PSI_13)
+
+
 def test_u_v_at_1_1_are_fibonacci_and_lucas():
     fib = make_params(1, 1)
     for n in range(501):
