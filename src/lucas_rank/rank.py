@@ -1,21 +1,21 @@
 """Rank of apparition: tau(m) = least k >= 1 with m | U_k.
 
-Three independent routes are provided.  `tau_scan` steps the recurrence
-mod m and is the definitional oracle.  `tau` factors m and combines
+Three independent routes are provided.  `tau_scan` is the definitional
+oracle: it steps the recurrence mod m, or for a large cap searches the
+orbit that the recurrence walks on P^1(Z/m), and decides each k by
+m | U_k alone.  `tau` factors m and combines
 prime-power ranks by lcm, using valuation-based lifting at each prime.
 `tau_min_divisor_oracle` starts from any verified multiple of the rank
 and strips prime factors while divisibility survives; it certifies
 minimality without trusting the lifting formulas.
 """
 
-import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import BadRange, NotAMultiple, NotCoprimeToB, NotFound, NotPrime, TooLarge
-from .lucas_core import LucasParams, nu, nu2, uv_mod
+from .lucas_core import LucasParams, nu, uv_mod
 
 FACTOR_BOUND = 2 ** 96
 _TRIAL_LIMIT = 10_000
@@ -178,115 +178,24 @@ def nu_in_u(params: LucasParams, p: int, k: int) -> int:
         e *= 2
 
 
-_BLOCK_MIN, _BLOCK_MAX = 256, 4096
-# Setting up the lanes costs about as much as 800 plain steps on sweep
-# targets of 20-60 bits, so smaller caps are scanned one index at a time.
-_PLAIN_MAX = 4 * _BLOCK_MIN
-_FILTER_LIMIT = 2 ** 24
-
-
-class _Lanes:
-    """Which of the values c_j*x + c_{j-1}*z (c_{-1} = 0; all below d) are divisible by d.
-
-    Each value y_j is below 2*d^2 < 2^w, w = 2*bits(d) + 1.  Write
-    d = 2^s * d'.  Then d | y_j exactly when t_j = y_j * d'^-1 mod 2^w,
-    rotated right by s bits, is at most (2^w - 1) // d (Granlund and
-    Montgomery, "Division by invariant integers using multiplication",
-    PLDI 1994).  The coefficients are stored already multiplied by
-    d'^-1 mod 2^w, one per lane in a field of w + bits(d) + 1 bits
-    rounded up to whole bytes, so c'_j*x + c'_{j-1}*z never carries
-    from one lane into the next and its low w bits are t_j.  Adding the
-    complement of the bound to every lane at once sets a guard bit at
-    w in the lanes that fail.
-    """
-
-    def __init__(self, d: int, cs: list[int]):
-        self.width = w = 2 * d.bit_length() + 1
-        self.field_bytes = n = (w + d.bit_length() + 8) // 8
-        self.lanes = len(cs)
-        self.shift = s = nu2(d)
-        top = (1 << w) - 1
-        self.low = self.fill(top >> s)  # rotation: bits s..w-1 move down ..
-        self.high = self.fill(top ^ (top >> s))  # .. and bits 0..s-1 up
-        self.bias = self.fill(top - top // d)
-        self.guards = self.fill(1 << w)
-        # c * d'^-1 < 2^(bits(d) + w) fits a field, so one product scales every lane
-        self.cs = self.pack(cs) * pow(d >> s, -1, 1 << w) & self.fill(top)
-        self.prev = self.cs << 8 * n  # lane j holds c'_{j-1}
-
-    def pack(self, values: list[int]) -> int:
-        """One int holding values[j] in lane j; each value fits its field."""
-        n = self.field_bytes
-        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(n), repeat("little"))),
-                              "little")
-
-    def fill(self, value: int) -> int:
-        """`value` in every lane."""
-        return int.from_bytes(value.to_bytes(self.field_bytes, "little") * self.lanes, "little")
-
-    def hits(self, x: int, z: int) -> list[int]:
-        """Lanes j, in increasing order, with d | c_j*x + c_{j-1}*z; 0 <= x, z < d."""
-        return self.divisible(self.cs * x + self.prev * z)
-
-    def divisible(self, scaled: int) -> list[int]:
-        """Lanes whose low w bits hold t_j = y_j * d'^-1 mod 2^w for a y_j divisible by d."""
-        s = self.shift
-        if s:
-            t = scaled >> s & self.low | scaled << (self.width - s) & self.high
-        else:
-            t = scaled & self.low
-        flags = (t + self.bias) & self.guards
-        if flags == self.guards:
-            return []
-        n = self.field_bytes
-        guard_bytes = flags.to_bytes(n * self.lanes, "little")[self.width // 8 :: n]
-        hits = []
-        j = guard_bytes.find(0)
-        while j >= 0:
-            hits.append(j)
-            j = guard_bytes.find(0, j + 1)
-        return hits
-
-
-@functools.cache
-def _small_primorial() -> int:
-    return math.prod(_SMALL_PRIMES)  # about 1 ms, so not paid at import
-
-
-def _filter_modulus(m: int) -> int:
-    """A divisor d of m below 2^24 to filter lanes with; 1 when there is none.
-
-    m itself when small enough, else the powers of m's primes below
-    10^4, smallest primes first, each as high as still fits.
-    """
-    if m < _FILTER_LIMIT:
-        return m
-    g = math.gcd(m, _small_primorial())  # the distinct primes below 10^4 dividing m
-    d = 1
-    for p in _SMALL_PRIMES:
-        if g == 1 or d * p >= _FILTER_LIMIT:
-            break
-        if g % p == 0:
-            g //= p
-            q = p
-            while d * q * p < _FILTER_LIMIT and m % (q * p) == 0:
-                q *= p
-            d *= q
-    return d
+# A cap up to this is stepped one index at a time: most sweep cells are far below it
+# (the median claimed value of the (1, 1) sweeps is 168), where a plain loop is cheapest.
+_PLAIN_MAX = 1024
+_BABY_MAX = 2 ** 16  # bounds the baby table; larger caps take more giant steps
+_GIANT_BATCH = 64  # giant points keyed with one inverse
 
 
 def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
-    """Least k <= cap with m | U_k, by stepping the recurrence mod m.
+    """Least k <= cap with m | U_k, by definition: no rank theory, no factoring of m.
 
-    A cap up to 1024 is scanned one index at a time.  Above it, the
-    first B = clamp(isqrt(cap), 256, 4096) indices are stepped one by
-    one, and past them B indices at a time are checked together: from
-    (x, y) = (U_{k+1}, U_k) mod m, the addition identity gives
-    U_{k+i} = U_i * x + b*U_{i-1} * y, and the B values reduced mod a
-    divisor d of m below 2^24 are tested at once as lanes of one int
-    (see `_Lanes`).  Every lane that passes is confirmed mod m, so each
-    k is still decided by m | U_k alone.  Without such a d (m >= 2^24
-    with no prime factor below 10^4) the scan steps one by one to cap.
+    A cap up to 1024 is stepped one index at a time.  Above it, the scan
+    is a baby-step giant-step search for the return time of P_0 = (1 : 0)
+    on the projective line over Z/m, where P_k = (U_{k+1} : U_k) and
+    M = [[a, b], [1, 0]] takes P_k to P_{k+1}.  M is a bijection there
+    since gcd(b, m) = 1, and m | U_k exactly when P_k = P_0, so the
+    first giant point P_iG equal to a baby point P_j (0 <= j < G) gives
+    the least k = iG - j (see `_orbit_search`).  Every k returned is
+    first confirmed to satisfy m | U_k.
 
     Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all),
     BadRange for a cap below 1, and NotFound when the cap is exhausted.
@@ -296,23 +205,13 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
         raise BadRange(f"need cap >= 1, got {cap}")
     am = params.a % m
     bm = params.b % m
+    if cap > _PLAIN_MAX:
+        found = _orbit_search(am, bm, m, cap)
+        if found is None:
+            raise NotFound(f"no index k <= {cap} with {m} | U_k")
+        return TauResult(found, "linear-scan")
     u0, u1 = 0, 1 % m
     k = 0
-    if cap > _PLAIN_MAX:
-        block = min(max(math.isqrt(cap), _BLOCK_MIN), _BLOCK_MAX)
-        us = [u0, u1]  # U_0 .. U_{block+1} mod m
-        while k < block:
-            k += 1
-            u0, u1 = u1, (am * u1 + bm * u0) % m
-            if u0 == 0:
-                return TauResult(k, "linear-scan")
-            us.append(u1)
-        d = _filter_modulus(m)
-        if d > 1:
-            found = _scan_blocks(us, bm, m, d, cap)
-            if found is None:
-                raise NotFound(f"no index k <= {cap} with {m} | U_k")
-            return TauResult(found, "linear-scan")
     while k < cap:
         k += 1
         u0, u1 = u1, (am * u1 + bm * u0) % m
@@ -321,26 +220,78 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     raise NotFound(f"no index k <= {cap} with {m} | U_k")
 
 
-def _scan_blocks(us: list[int], bm: int, m: int, d: int, cap: int) -> int | None:
-    """Least k in (B, cap] with m | U_k, given U_0 .. U_{B+1} mod m in `us`.
+def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
+    """Least k <= cap with m | U_k, for a cap above 1024 (Shanks's baby steps, giant steps).
 
-    Lane j of a block from k stands for U_{k+j+1} = U_{j+1}*x + U_j*(b*y)
-    with (x, y) = (U_{k+1}, U_k) mod m.
+    Steps U_0 .. U_{G+1} mod m one by one, with the giant stride
+    G = min(ceil(sqrt(cap)), 2^16), answering at a zero in U_1 .. U_G.
+    Past that tau > G, so the baby points P_0 .. P_{G-1} are distinct
+    and keyed to their index.  The giant points P_G, P_2G, ... follow
+    from (x, y) = (U_{n+1}, U_n) by the addition identity
+    U_{n+G} = U_G x + b U_{G-1} y.  A key match P_iG = P_j is accepted
+    only if the cross product U_iG U_{j+1} - U_{iG+1} U_j, which is
+    (-b)^j U_{iG-j}, is 0 mod m, that is, only if m | U_{iG-j}.
     """
-    block = len(us) - 2
-    lanes = _Lanes(d, us[1 : block + 1] if d == m else [u % d for u in us[1 : block + 1]])
-    bd = bm % d
-    step_x, step_y = bm * us[block] % m, bm * us[block - 1] % m
-    k, y, x = block, us[block], us[block + 1]
-    while k < cap:
-        for j in lanes.hits(x % d, bd * y % d):
-            if k + j + 1 > cap:
-                return None
-            if (us[j + 1] * x + bm * us[j] * y) % m == 0:
-                return k + j + 1
-        x, y = (us[block + 1] * x + step_x * y) % m, (us[block] * x + step_y * y) % m
-        k += block
+    stride = min(math.isqrt(cap - 1) + 1, _BABY_MAX)
+    us = [0, 1 % m]  # U_0 .. U_{G+1} mod m
+    for k in range(1, stride + 1):
+        if us[k] == 0:
+            return k
+        us.append((am * us[k] + bm * us[k - 1]) % m)
+    idempotents: dict[int, int] = {}
+    babies = _keys(list(zip(us[1 : stride + 1], us[:stride])), m, idempotents)
+    index = dict(zip(babies, range(stride)))
+    s11, s12, s21, s22 = us[stride + 1], bm * us[stride] % m, us[stride], bm * us[stride - 1] % m
+    x, y = s11, s21  # P_G
+    giants = (cap + stride - 1) // stride  # P_iG for i past this gives k = iG - j > cap
+    for first in range(1, giants + 1, _GIANT_BATCH):
+        batch = []  # P_iG for i = first, first + 1, ...
+        for _ in range(min(_GIANT_BATCH, giants + 1 - first)):
+            batch.append((x, y))
+            x, y = (s11 * x + s12 * y) % m, (s21 * x + s22 * y) % m
+        for i, (gx, gy), key in zip(range(first, giants + 1), batch, _keys(batch, m, idempotents)):
+            j = index.get(key)
+            if j is not None and (gy * us[j + 1] - gx * us[j]) % m == 0:
+                k = i * stride - j
+                return k if k <= cap else None
     return None
+
+
+def _keys(points: list[tuple[int, int]], m: int, idempotents: dict[int, int]) -> list[int]:
+    """One int per point (x : y) of P^1(Z/m), equal exactly when the points are.
+
+    With g = gcd(y, m), y is a unit mod m1, the largest divisor of m
+    prime to g, and x is one mod m2 = m/m1.  The unit w equal to y mod m1
+    and x mod m2 (through the CRT idempotent of m1, cached per g) scales
+    every representative of the point to the same (x/w, y/w); compare
+    the M-symbols of Cremona, Algorithms for Modular Elliptic Curves,
+    ch. 2.  That pair is 1 in y mod m1 and 1 in x mod m2, so g and
+    c = (x + y - w)/w, which is x/w mod m1 and y/w mod m2, pin it down.
+    All the w are inverted with one `pow` (Montgomery, Math. Comp. 48, 1987).
+    """
+    ws, gs, prefix = [], [], [1]
+    for x, y in points:
+        g = math.gcd(y, m)
+        if g == 1:
+            w = y
+        else:
+            e = idempotents.get(g)
+            if e is None:
+                m1 = m
+                while (d := math.gcd(m1, g)) > 1:
+                    m1 //= d
+                e = idempotents[g] = m // m1 * pow(m // m1, -1, m1) % m  # 1 mod m1, 0 mod m2
+            w = (x + (y - x) * e) % m
+        ws.append(w)
+        gs.append(g)
+        prefix.append(prefix[-1] * w % m)
+    inverse = pow(prefix[-1], -1, m)  # 1 / (w_0 ... w_{n-1})
+    keys = [0] * len(points)
+    for t in range(len(points) - 1, -1, -1):
+        x, y = points[t]
+        keys[t] = gs[t] * m + (x + y - ws[t]) * inverse * prefix[t] % m
+        inverse = inverse * ws[t] % m
+    return keys
 
 
 def _strip_to_minimum(

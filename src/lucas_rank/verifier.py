@@ -4,7 +4,7 @@ A sweep evaluates one closed form over a grid of indices, computes the
 actual product, and asks an oracle for the true rank of apparition.
 Disagreements are recorded verbatim, never suppressed.  The default
 oracle strips a verified multiple down to the minimum; cells whose
-closed-form value is small enough additionally get a full linear scan,
+closed-form value is small enough additionally get the definitional scan,
 so the two routes stay independent.
 """
 

@@ -22,7 +22,6 @@ from lucas_rank.rank import (
     FACTOR_BOUND,
     Factorization,
     TauResult,
-    _Lanes,
     _MR_PSI,
     _rho_brent,
     factorize,
@@ -292,7 +291,7 @@ def _moduli(draw, params):
         return math.prod(draw(st.lists(st.sampled_from(_MID_PRIMES), min_size=2, max_size=4)))
     if kind == "200-bit":
         return draw(st.integers(2**199, 2**200 - 1))
-    # the part of U_k made of primes below 1000: its rank divides k, past the prefix
+    # the part of U_k made of primes below 1000: its rank divides k, often past the baby steps
     k = draw(st.integers(257, _REACH))
     m = 1
     for p in _SMOOTH_PRIMES:
@@ -301,8 +300,23 @@ def _moduli(draw, params):
     return m
 
 
+def _giant_edge_caps(t):
+    """Caps G^2 whose orbit search meets the answer t as iG - j with j = 0 and with j = G - 1.
+
+    G = ceil(sqrt(cap)) baby steps; the least G that works is taken, so the
+    answer is as many giant steps out as it can be.
+    """
+    caps = set()
+    for n in (t, t - 1):  # G | t gives j = 0, G | t - 1 gives j = G - 1
+        for g in range(max(33, math.isqrt(t - 1) + 1), min(t - 1, 2**16) + 1):
+            if n % g == 0:
+                caps.add(g * g)
+                break
+    return caps
+
+
 class TestBlockScan:
-    """`tau_scan` against the one-index-at-a-time reference, around its block edges."""
+    """`tau_scan` against the one-index-at-a-time reference, around the orbit search's edges."""
 
     @given(_params_st, st.data())
     @settings(max_examples=150, deadline=None)
@@ -313,29 +327,88 @@ class TestBlockScan:
             answer = _reference_scan(params, m, _REACH).value
         except (NotCoprimeToB, NotFound):
             answer = None
-        # caps up to 1024 step one index at a time; above, B = 256 for every cap
-        # here: the prefix ends at 256 and blocks at 512, 768, 1024, 1280, ...
-        caps = {1, 255, 256, 257, 1023, 1024, 1025, 1279, 1280, 1281, 1535, 1536, 1537}
+        # caps up to 1024 step one index at a time; above, G = ceil(sqrt(cap)) baby
+        # steps, so G^2 -> G^2 + 1 adds a baby: 1024 -> 1025 (32 -> 33), 1089 -> 1090,
+        # 1600 -> 1601
+        caps = {1, 1023, 1024, 1025, 1088, 1089, 1090, 1599, 1600, 1601}
         caps.add(data.draw(st.integers(0, _REACH)))
         if answer is not None:
-            caps |= {answer - 1, answer, answer + 1}
+            caps |= {answer - 1, answer, answer + 1} | _giant_edge_caps(answer)
         for cap in sorted(caps):
             assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
 
     @pytest.mark.parametrize(
         "a,b,m,cap",
         [
-            (1, 1, 16_776_623, 250_000),  # 24-bit prime, d = m, answer 202128, B = 500
-            (3, -1, 199_999, 120_000),  # answer 99999, B = 346
-            (1, 1, 2**17, 200_000),  # d = m = 2^17, answer 196608, B = 447
-            (1, 1, 3**11 * 17 * 19 * 53, 250_000),  # d = 3^11 * 17, answer 236196
-            (1, 1, 2**40, 100_000),  # d = 2^23, no answer below the cap
-            (1, -3, 2**10 * 10_007 * 10_009, 200_000),  # d = 2^10: many lanes to confirm
+            (1, 1, 16_776_623, 250_000),  # 24-bit prime, answer 202128, G = 500
+            (3, -1, 199_999, 120_000),  # answer 99999, G = 347
+            (1, 1, 2**17, 200_000),  # answer 196608, G = 448
+            (1, 1, 3**11 * 17 * 19 * 53, 250_000),  # answer 236196
+            (1, 1, 2**40, 100_000),  # no answer below the cap
+            (1, -3, 2**10 * 10_007 * 10_009, 200_000),  # y = U_j even for every third j
         ],
     )
     def test_larger_blocks(self, a, b, m, cap):
         params = make_params(a, b)
         assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+
+    @pytest.mark.parametrize(
+        "a,b,m",
+        [
+            (1, 1, 16_776_623),  # 202128 = 48 * 4211: j = 0 at G = 4211
+            (3, -1, 199_999),  # 99999 = 271 * 369 = 3 * 49999 - 49998
+            (1, 1, 2**17),  # 196608 = 384 * 512 = 422 * 467 - 466
+            (1, 1, 2**10 * 3**4 * 5**2 * 7),  # 172800 = 400 * 432 = 254 * 683 - 682
+        ],
+    )
+    def test_answer_at_giant_edges(self, a, b, m):
+        params = make_params(a, b)
+        answer = _reference_scan(params, m, 250_000).value
+        caps = _giant_edge_caps(answer)
+        assert caps
+        for cap in caps | {answer - 1, answer}:
+            assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+
+    def test_baby_table_bound_above_2_32(self):
+        # p = 1000003 = 3 mod 5, so the rank divides p + 1, and it is p + 1; a cap
+        # above 2^32 wants more than 2^16 babies, so the search takes 2^16 and 16 giants
+        params = make_params(1, 1)
+        p = 1_000_003
+        assert tau_scan(params, p, 2**32 + 1) == _reference_scan(params, p, 2**32 + 1)
+        assert tau_scan(params, p, 2**32 + 1).value == p + 1
+
+    def test_mostly_non_unit_baby_points(self):
+        # U_j shares a prime with m exactly when 3, 4 or 5 divides j (7's rank is 8), so
+        # 60% of the baby points (U_{j+1} : U_j) have a y that is not a unit mod m
+        params = make_params(1, 1)
+        m = 2**10 * 3**4 * 5**2 * 7
+        prefix = [u_exact(params, j) for j in range(1, 448)]  # G = 448 for cap 200,000
+        assert sum(math.gcd(u, m) > 1 for u in prefix) > len(prefix) // 2
+        for cap in (172_799, 172_800, 200_000):
+            assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+
+    @pytest.mark.parametrize("m", [2**6, 5 * 7, 2 * 3**2 * 5, 2**3 * 3**2])
+    def test_keys_name_the_points_of_the_projective_line(self, m):
+        # every unimodular (x, y) mod m, keyed, against its class under the units of Z/m
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        vectors = [(x, y) for x in range(m) for y in range(m) if math.gcd(x, y, m) == 1]
+        keys = rank._keys(vectors, m, {})
+        points = [min((u * x % m, u * y % m) for u in units) for x, y in vectors]
+        assert len(set(zip(keys, points))) == len(set(keys)) == len(set(points))
+
+    def test_confirmation_guards_every_answer(self, monkeypatch):
+        # every point gets the same key, so each giant point "matches" the last baby;
+        # only the cross-product check stands between that and a wrong k
+        monkeypatch.setattr(rank, "_keys", lambda points, m, idempotents: [0] * len(points))
+        cases = [((1, 1), 16_776_623, 250_000), ((1, 1), 2**17, 200_000), ((3, -1), 199_999, 5000),
+                 ((1, -3), 2**10 * 10_007 * 10_009, 200_000), ((2, 1), 10**6 + 3, 3000)]
+        for ab, m, cap in cases:
+            params = make_params(*ab)
+            try:
+                k = tau_scan(params, m, cap).value
+            except NotFound:
+                continue
+            assert 1 <= k <= cap and uv_mod(params, k, m)[0] == 0
 
     @pytest.mark.parametrize("a,b", [(1, 1), (3, -1)])
     def test_no_small_factor_steps_to_the_answer(self, a, b):
@@ -350,44 +423,30 @@ class TestBlockScan:
 
     def test_200_bit_answer_past_the_prefix(self):
         params = make_params(1, 1)
-        m = u_exact(params, 289)  # 200 bits; its primes below 10^4 are 577, 1597, 1733
+        m = u_exact(params, 289)  # 200 bits
         assert m.bit_length() == 200
-        assert tau_scan(params, m, 2000).value == 289  # B = 256: found in the first block
+        assert tau_scan(params, m, 2000).value == 289  # G = 45: found at i = 7, j = 26
         assert tau_scan(params, m, 289).value == 289
         with pytest.raises(NotFound):
             tau_scan(params, m, 288)
 
 
-class TestLanes:
-    """The packed multiply-by-inverse divisibility check on its own."""
-
-    @pytest.mark.parametrize(
-        "d",
-        [999_983, 3**9 * 7, 2**5 * 3**7, 2**23, 3 * 2**22, 2**24 - 3, 2**24 - 2, 1, 2],
-    )
-    def test_divisible_at_range_edges(self, d):
-        w = 2 * d.bit_length() + 1
-        top = 2**w - 1
-        ys = [0, d, top // d * d, top, d - 1, d + 1, top // d * d - 1, 2 * d, top - 1]
-        ys += [(d - 1) * (d - 1) * 2, 17 * d, 17 * d + 1]
-        ys = [y for y in ys if 0 <= y <= top]
-        lanes = _Lanes(d, [0] * len(ys))
-        assert lanes.width == w
-        inverse = pow(d >> nu(2, d), -1, 2**w)
-        scaled = lanes.pack([y * inverse & top for y in ys])
-        assert lanes.divisible(scaled) == [j for j, y in enumerate(ys) if y % d == 0]
-
-    @pytest.mark.parametrize("d", [12_345_677, 2**24 - 1, 5**10, 2**13 * 2047, 97])
-    def test_hits_match_brute_force(self, d):
-        rng = random.Random(d)
-        n = 300
-        cs = [rng.randrange(d) for _ in range(n)]
-        cs[:5] = [d - 1, d - 1, 0, 1, d - 1]  # largest lane values next to each other
-        lanes = _Lanes(d, cs)
-        prev = [0] + cs[:-1]
-        for x, z in [(d - 1, d - 1), (0, 0), (1, 0), (rng.randrange(d), rng.randrange(d))]:
-            want = [j for j in range(n) if (cs[j] * x + prev[j] * z) % d == 0]
-            assert lanes.hits(x, z) == want
+def test_tau_equals_the_definitional_scan_at_20_to_24_bits():
+    # tau(m) <= 4m here (the lcm of p^(e-1) (p + 1) over m's prime powers), so a cap of
+    # 10m decides it; a step-by-step scan would need up to 10^7 steps per m
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 80:
+        m = rng.randrange(2**19, 2**24)
+        a, b = rng.randint(1, 40), rng.randint(-40, 40)
+        if math.gcd(m, b) != 1:
+            continue
+        try:
+            params = make_params(a, b)
+        except LucasRankError:
+            continue
+        assert tau(params, m).value == tau_scan(params, m, 10 * m).value, (a, b, m)
+        checked += 1
 
 
 class TestTauPrime:
