@@ -53,6 +53,8 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 def _csv_path(text: str) -> str:
     """Refuse a --csv path that cannot be written before any sweep work starts."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
     folder = os.path.dirname(text) or "."
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
@@ -115,21 +117,6 @@ def _divides(ns):
     return ("true" if flag else "false"), {"divides": flag}
 
 
-def _resolve_jobs(ns) -> int:
-    if ns.jobs is not None:
-        return ns.jobs
-    raw = os.environ.get("LUCAS_RANK_JOBS", "")
-    if raw:
-        try:
-            jobs = int(raw)
-        except ValueError:
-            jobs = 0
-        if jobs >= 1:
-            return jobs
-        print(f"warning: ignoring LUCAS_RANK_JOBS={raw!r}", file=sys.stderr)
-    return 1
-
-
 # `verify sweep` flags that only some theorems take, and the grid key each sets
 _SWEEP_FLAGS = {"m_min": "m", "m_max": "m", "primes": "p"}
 
@@ -148,7 +135,7 @@ def _cmd_verify_sweep(ns):
         ns.theorem,
         {key: given[key] for key in keys},
         oracle=ns.oracle,
-        jobs=_resolve_jobs(ns),
+        jobs=ns.jobs,
         scan_below=ns.scan_below,
         seed=ns.seed,
     )
@@ -234,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=verifier.ORACLES, default="divisor-minimality")
     p.add_argument("--scan-below", type=_nonneg, default=None,
                    help="extra definitional scan for values below this bound")
-    p.add_argument("--jobs", type=_positive, default=None,
-                   help="worker processes (default 1, or LUCAS_RANK_JOBS)")
+    p.add_argument("--jobs", type=_positive, default=1, help="worker processes (default 1)")
     p.set_defaults(func=_report_handler(_cmd_verify_sweep), usage_error=p.error)
     p = verify.add_parser("remark", parents=[common, report_common])
     p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)))

@@ -13,7 +13,7 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from . import closed_form, rank
@@ -323,19 +323,12 @@ def check_delta_negative_fixtures() -> SweepReport:
     return SweepReport(params, "fixtures", cells, _summarize(cells))
 
 
-def _cell_dict(cell: SweepCell, include_timings: bool) -> dict:
-    d = dict(vars(cell))
-    if not include_timings:
-        del d["elapsed_ms"]
-    return d
-
-
 def report_to_dict(report: SweepReport, *, include_timings: bool = False) -> dict:
-    """The report's fields in declaration order; shallow copies, never the objects' own dicts."""
-    d = dict(vars(report))
-    d["params"] = dict(vars(report.params))
-    d["cells"] = [_cell_dict(c, include_timings) for c in report.cells]
-    d["summary"] = dict(vars(report.summary))
+    """The report's fields in declaration order, copied by `dataclasses.asdict`."""
+    d = asdict(report)
+    if not include_timings:
+        for cell in d["cells"]:
+            del cell["elapsed_ms"]
     return d
 
 
@@ -391,11 +384,10 @@ def report_to_csv(report: SweepReport, *, include_timings: bool = False) -> str:
     writer = csv.writer(buf)
     columns = [f.name for f in fields(SweepCell) if include_timings or f.name != "elapsed_ms"]
     writer.writerow(["theorem", "a", "b", *columns])
-    for c in report.cells:
-        d = _cell_dict(c, include_timings)
-        d["inputs"] = json.dumps(c.inputs, sort_keys=True)
-        d["agree"] = int(c.agree)
+    for d in report_to_dict(report, include_timings=include_timings)["cells"]:
+        d["inputs"] = json.dumps(d["inputs"], sort_keys=True)
+        d["agree"] = int(d["agree"])
         if include_timings:
-            d["elapsed_ms"] = f"{c.elapsed_ms:.3f}"
+            d["elapsed_ms"] = f"{d['elapsed_ms']:.3f}"
         writer.writerow([report.theorem, report.params.a, report.params.b, *d.values()])
     return buf.getvalue()

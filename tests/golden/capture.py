@@ -166,6 +166,5 @@ def capture() -> dict:
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
-    os.environ.pop("LUCAS_RANK_JOBS", None)
     GOLDEN.write_text(json.dumps(capture(), indent=1) + "\n")
     print(f"wrote {len(CORPUS)} cases to {GOLDEN}")

@@ -29,7 +29,6 @@ def test_cli_output_is_byte_identical(case, tmp_path, monkeypatch):
     if "--help" in case["argv"] and GOLDEN["python"] != "%d.%d" % sys.version_info[:2]:
         pytest.skip(f"argparse help layout was captured on Python {GOLDEN['python']}")
     monkeypatch.setenv("COLUMNS", capture.COLUMNS)
-    monkeypatch.delenv("LUCAS_RANK_JOBS", raising=False)
     csv_path = str(tmp_path / "cells.csv") if "csv" in case else None
     got = capture.replay(case["argv"], csv_path)
     want = {k: v for k, v in case.items() if k != "argv"}
