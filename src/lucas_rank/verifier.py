@@ -19,7 +19,7 @@ from functools import partial
 from . import closed_form, rank
 from .errors import BadRange, NotAMultiple, NotEligible, NotFound
 from .gcd_identities import divides_uu, divides_vu
-from .lucas_core import LucasParams, make_params, u_exact, v_exact
+from .lucas_core import LucasParams, make_params, require_eligible, u_exact, v_exact
 
 
 def _pair_grid(ranges: dict) -> list[dict]:
@@ -218,6 +218,10 @@ def sweep(
             raise BadRange(f"empty range for {key}: {bounds}")
         if key == "p" and len(set(bounds)) < len(bounds):
             raise BadRange(f"repeated prime in p: {bounds}")
+    if "p" in grid:  # the triple's checks, in tau_triple's order, before any cell
+        require_eligible(params)
+        for p in grid["p"]:
+            closed_form.require_odd_prime(p)
     points = THEOREM_TABLE[theorem].grid(grid)
     evaluate = partial(_evaluate_cell, params, theorem, oracle, scan_below, seed)
     workers = _worker_count(jobs, len(points))

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from lucas_rank.errors import Degenerate, NotCoprime, TooLarge, ZeroModulus
 from lucas_rank.lucas_core import (
     EXACT_INDEX_CAP,
-    MOD_INDEX_CAP,
     LucasParams,
     make_params,
     u_exact,
     v_exact,
     uv_mod,
 )
+from lucas_rank.rank import tau
 
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
 NEG_DELTA = [(-3, -5), (1, -2), (4, -5), (2, -3)]
@@ -241,14 +241,6 @@ class TestUvMod:
         with pytest.raises(ValueError):
             uv_mod(p, 5, -7)
 
-    def test_index_cap(self):
-        p = make_params(1, 1)
-        with pytest.raises(TooLarge):
-            uv_mod(p, MOD_INDEX_CAP + 1, 7)
-        # the cap itself is accepted
-        un, vn = uv_mod(p, MOD_INDEX_CAP, 7)
-        assert 0 <= un < 7 and 0 <= vn < 7
-
     def test_huge_index_via_period_reduction(self):
         # walk (U, V) mod 7 once to find the period, then compare
         p = make_params(1, 1)
@@ -267,8 +259,10 @@ class TestUvMod:
     @pytest.mark.parametrize("modulus", [1, 2, 10**9 + 7, 2**61 - 1, 2**64])
     def test_bit_length_edges_match_matrix_power(self, a, b, modulus):
         # n = 2^j - 1, 2^j, 2^j + 1: every step a set bit, every step a
-        # clear bit, and clear bits ending in one set bit (n = 0 included)
-        indices = [2**j + d for j in range(63) for d in (-1, 0, 1)] + [MOD_INDEX_CAP]
+        # clear bit, and clear bits ending in one set bit (n = 0 included);
+        # then indices past a machine word, which the ladder takes as any other
+        indices = [2**j + d for j in range(63) for d in (-1, 0, 1)]
+        indices += [2**63 - 1, 2**63, 2**64 + 1, 2**100, 2**200 - 1]
         p = make_params(a, b)
         for n in indices:
             # [[a, b], [1, 0]]^n = [[U_{n+1}, b*U_n], [U_n, b*U_{n-1}]]
@@ -281,3 +275,26 @@ class TestUvMod:
         u = _u_list(p, n + 2)
         expect = (u[n] % modulus, (2 * u[n + 1] - p.a * u[n]) % modulus)
         assert uv_mod(p, n, modulus) == expect
+
+
+def _is_strong_probable_prime(n, base):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_tau_with_a_prime_factor_above_2_64_is_certified():
+    # m = 3 * (2^64 + 13): the strip for the large prime p starts at p - 1, past 2^63
+    m, q = 3 * (2**64 + 13), 658_812_288_346_769_701
+    k = tau(make_params(1, 1), m).value
+    assert k == 2_635_249_153_387_078_804 == 2**2 * q
+    # the first 12 prime bases decide every n below 3.18e23 (Sorenson-Webster 2017)
+    assert all(_is_strong_probable_prime(q, base)
+               for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    # [[1, 1], [1, 0]]^n has U_n below the diagonal: m | U_k, and m !| U_{k/q'}
+    # for each prime q' | k, so k is the least such index
+    assert _matrix_power(1, 1, k, m)[1][0] == 0
+    for prime in (2, q):
+        assert _matrix_power(1, 1, k // prime, m)[1][0] != 0

@@ -8,7 +8,7 @@ import pytest
 import lucas_rank.closed_form as closed_form
 import lucas_rank.verifier as verifier
 from lucas_rank.closed_form import ClosedFormResult
-from lucas_rank.errors import BadRange, NotEligible
+from lucas_rank.errors import BadRange, NotEligible, NotOddPrime
 from lucas_rank.lucas_core import make_params
 from lucas_rank.verifier import (
     DEFAULT_SCAN_BELOW,
@@ -152,6 +152,24 @@ class TestSweep:
         monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
         with pytest.raises(BadRange, match=f"^malformed range for {key}: "):
             sweep(FIB, theorem, ranges)
+
+    @pytest.mark.parametrize("primes", [(3, 9), (3, 1)])
+    def test_bad_prime_refused_before_any_cell(self, monkeypatch, primes):
+        monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
+        with pytest.raises(NotOddPrime, match=f"^need an odd prime, got {primes[1]}$"):
+            sweep(FIB, "triple", {"p": primes})
+        # ineligible params are refused first, as tau_triple refuses them
+        with pytest.raises(NotEligible):
+            sweep(make_params(1, -2), "triple", {"p": primes})
+
+
+@pytest.mark.parametrize("theorem", ["um-un", "vm-vn"])
+@pytest.mark.parametrize("a,b", [(3, 1), (3, 2), (4, -3)])
+def test_pair_sweeps_record_cells_past_2_63(theorem, a, b):
+    # the diagonal's closed forms pass 2^63 from m = n = 32-38 on; every cell is recorded
+    report = sweep(make_params(a, b), theorem, {"m": (32, 40), "n": (32, 40)})
+    assert report.summary.total == 81 and report.summary.disagreed == 0
+    assert max(c.closed_form_value for c in report.cells) > 2**63
 
 
 class TestTheoremTable:
