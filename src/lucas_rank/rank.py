@@ -178,8 +178,11 @@ def nu_in_u(params: LucasParams, p: int, k: int) -> int:
         e *= 2
 
 
-# A cap up to this is stepped one index at a time: most sweep cells are far below it
-# (the median claimed value of the (1, 1) sweeps is 168), where a plain loop is cheapest.
+# A cap up to this is stepped one index at a time.  Timed with no answer below the cap
+# (nproc = 2, Python 3.11.7), the orbit search overtakes the plain loop near cap 200-400
+# when every y is a unit mod m (primes of 20-62 bits), but near 800-1000 for smooth m,
+# whose points take the general key path.  On the pair sweeps' own scans with caps in
+# (256, 1024], limits of 512 to 1024 take within 6% of each other, and 256 takes 20% more.
 _PLAIN_MAX = 1024
 _BABY_MAX = 2 ** 16  # bounds the baby table; larger caps take more giant steps
 _GIANT_BATCH = 64  # giant points keyed with one inverse
@@ -211,12 +214,15 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
             raise NotFound(f"no index k <= {cap} with {m} | U_k")
         return TauResult(found, "linear-scan")
     u0, u1 = 0, 1 % m
-    k = 0
-    while k < cap:
-        k += 1
-        u0, u1 = u1, (am * u1 + bm * u0) % m
-        if u0 == 0:
+    for k in range(1, cap, 2):  # U_k is in u1, U_{k+1} goes to u0
+        if not u1:
             return TauResult(k, "linear-scan")
+        u0 = (am * u1 + bm * u0) % m
+        if not u0:
+            return TauResult(k + 1, "linear-scan")
+        u1 = (am * u0 + bm * u1) % m
+    if cap % 2 and not u1:  # an odd cap leaves U_cap unchecked in u1
+        return TauResult(cap, "linear-scan")
     raise NotFound(f"no index k <= {cap} with {m} | U_k")
 
 
@@ -249,7 +255,10 @@ def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
         for _ in range(min(_GIANT_BATCH, giants + 1 - first)):
             batch.append((x, y))
             x, y = (s11 * x + s12 * y) % m, (s21 * x + s22 * y) % m
-        for i, (gx, gy), key in zip(range(first, giants + 1), batch, _keys(batch, m, idempotents)):
+        keys = _keys(batch, m, idempotents)
+        if index.keys().isdisjoint(keys):
+            continue
+        for i, (gx, gy), key in zip(range(first, giants + 1), batch, keys):
             j = index.get(key)
             if j is not None and (gy * us[j + 1] - gx * us[j]) % m == 0:
                 k = i * stride - j
@@ -268,7 +277,31 @@ def _keys(points: list[tuple[int, int]], m: int, idempotents: dict[int, int]) ->
     ch. 2.  That pair is 1 in y mod m1 and 1 in x mod m2, so g and
     c = (x + y - w)/w, which is x/w mod m1 and y/w mod m2, pin it down.
     All the w are inverted with one `pow` (Montgomery, Math. Comp. 48, 1987).
+
+    Until the search meets a y that is not a unit (the cache of idempotents
+    is empty), a batch is first tried as all units: if the product of its
+    nonzero y is a unit, each point is keyed m + x/y mod m straight away,
+    or m*m for y = 0, the same int as below.  A batch that fails leaves an
+    idempotent in the cache, so later batches go straight to the general path.
     """
+    if not idempotents:
+        prefix, p = [], 1  # prefix[t] = the product of the nonzero y before point t
+        for start in range(0, len(points), _GIANT_BATCH):  # give up at the first non-unit chunk
+            for _, y in points[start : start + _GIANT_BATCH]:
+                prefix.append(p)
+                if y:
+                    p = p * y % m
+            if math.gcd(p, m) != 1:
+                break
+        else:
+            inverse = pow(p, -1, m)
+            keys = [m * m] * len(points)
+            for t in range(len(points) - 1, -1, -1):
+                x, y = points[t]
+                if y:
+                    keys[t] = m + x * inverse * prefix[t] % m
+                    inverse = inverse * y % m
+            return keys
     ws, gs, prefix = [], [], [1]
     for x, y in points:
         g = math.gcd(y, m)

@@ -113,6 +113,25 @@ def test_pair_theorem_sweeps(announce):
     assert ok, bad[:10]
 
 
+@pytest.mark.slow
+def test_pair_theorem_sweeps_to_40(announce):
+    # the paper's grid is m, n <= 20; past 32 the diagonal's closed forms pass 2^63
+    start = time.perf_counter()
+    total = disagreed = 0
+    bad = []
+    for a, b in PARAMS_GRID:
+        params = make_params(a, b)
+        for theorem in PAIR_THEOREMS:
+            report = sweep(params, theorem, {"m": (3, 40), "n": (3, 40)})
+            total += report.summary.total
+            disagreed += report.summary.disagreed
+            bad.extend((a, b, theorem, c.inputs) for c in report.cells if not c.agree)
+    elapsed = time.perf_counter() - start
+    ok = disagreed == 0 and total == len(PARAMS_GRID) * 3 * 38 * 38 == 30_324
+    announce("pair-theorem-sweep-40", ok, elapsed, f"cells={total} disagreed={disagreed}")
+    assert ok, bad[:10]
+
+
 def test_triple_theorem_sweeps(announce):
     start = time.perf_counter()
     total = disagreed = 0

@@ -255,6 +255,30 @@ def _outcome(fn, params, m, cap):
         return type(exc)
 
 
+def _general_keys(points, m):
+    """`rank._keys` on its general path: a non-empty cache skips the all-units attempt.
+
+    The entry is the true idempotent for g = m (m1 = 1), so it cannot change a key.
+    """
+    return rank._keys(points, m, {m: 0})
+
+
+class TestPlainLoop:
+    """The loop that steps caps up to `_PLAIN_MAX` two indices a pass, at odd and even caps."""
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, -1), (2, 1), (4, -3)])
+    def test_matches_reference_at_every_small_cap(self, a, b):
+        params = make_params(a, b)
+        parities = set()
+        for m in (1, 2, 4, 5, 7, 8, 11, 13, 25, 89, 97, 128):
+            answer = _reference_scan(params, m, rank._PLAIN_MAX - 1).value  # every cap plain
+            parities.add(answer % 2)
+            for cap in set(range(1, 65)) | {answer - 1, answer, answer + 1}:
+                want = _outcome(_reference_scan, params, m, cap)
+                assert _outcome(tau_scan, params, m, cap) == want, (m, cap)
+        assert parities == {0, 1}
+
+
 _MID_PRIMES = [p for p in range(10_001, 20_000, 2) if _is_prime_slow(p)]
 _SMOOTH_PRIMES = [p for p in range(2, 1000) if _is_prime_slow(p)]
 _REACH = 2000  # the reference scans at most this far per drawn input
@@ -396,9 +420,41 @@ class TestBlockScan:
         points = [min((u * x % m, u * y % m) for u in units) for x, y in vectors]
         assert len(set(zip(keys, points))) == len(set(keys)) == len(set(points))
 
+    @pytest.mark.parametrize("m", [10**6 + 3, 2**61 - 1, 3**5 * 7**3 * 101, 2**64])
+    def test_unit_path_keys_equal_the_general_path(self, m):
+        rng = random.Random(m)
+        points = []
+        while len(points) < 300:
+            x, y = rng.randrange(m), rng.randrange(1, m)
+            if math.gcd(y, m) == 1:
+                points.append((x, y))
+        zero = (points[0][1], 0)  # (unit : 0) is the point (1 : 0)
+        for batch in (points, [zero] + points, points[:100] + [zero] + points[100:130], [zero]):
+            idempotents = {}
+            keys = rank._keys(batch, m, idempotents)
+            assert not idempotents  # keyed by the unit path, which caches nothing
+            assert keys == _general_keys(batch, m)
+
+    @pytest.mark.parametrize("m", [2**64, 3**5 * 7**3 * 101, 2 * (10**6 + 3)])
+    @pytest.mark.parametrize("at", [0, 63, 64, 200])
+    def test_unit_path_gives_up_at_a_non_unit(self, m, at):
+        rng = random.Random(m + at)
+        points = []
+        while len(points) < 260:
+            y = rng.randrange(1, m)
+            if math.gcd(y, m) == 1:
+                points.append((rng.randrange(m), y))
+        points[at] = (1, m // 2 if m % 2 == 0 else m // 7)  # one y that is not a unit
+        points[at // 2 + 1] = (1, 0)
+        for batch in (points, points[: at + 2]):  # a long batch, and one ending near the non-unit
+            idempotents = {}
+            assert rank._keys(batch, m, idempotents) == _general_keys(batch, m)
+            assert idempotents  # the general path ran, so later batches skip the unit attempt
+
     def test_confirmation_guards_every_answer(self, monkeypatch):
         # every point gets the same key, so each giant point "matches" the last baby;
-        # only the cross-product check stands between that and a wrong k
+        # only the cross-product check stands between that and a wrong k.  `_keys` holds
+        # both the unit path and the general path, so this forces a match through each
         monkeypatch.setattr(rank, "_keys", lambda points, m, idempotents: [0] * len(points))
         cases = [((1, 1), 16_776_623, 250_000), ((1, 1), 2**17, 200_000), ((3, -1), 199_999, 5000),
                  ((1, -3), 2**10 * 10_007 * 10_009, 200_000), ((2, 1), 10**6 + 3, 3000)]
@@ -431,13 +487,13 @@ class TestBlockScan:
             tau_scan(params, m, 288)
 
 
-def test_tau_equals_the_definitional_scan_at_20_to_24_bits():
+def _check_tau_against_scan(seed, low, high, count):
     # tau(m) <= 4m here (the lcm of p^(e-1) (p + 1) over m's prime powers), so a cap of
-    # 10m decides it; a step-by-step scan would need up to 10^7 steps per m
-    rng = random.Random(2024)
+    # 10m decides it; a step-by-step scan would need up to 10m steps per m
+    rng = random.Random(seed)
     checked = 0
-    while checked < 80:
-        m = rng.randrange(2**19, 2**24)
+    while checked < count:
+        m = rng.randrange(low, high)
         a, b = rng.randint(1, 40), rng.randint(-40, 40)
         if math.gcd(m, b) != 1:
             continue
@@ -447,6 +503,17 @@ def test_tau_equals_the_definitional_scan_at_20_to_24_bits():
             continue
         assert tau(params, m).value == tau_scan(params, m, 10 * m).value, (a, b, m)
         checked += 1
+
+
+def test_tau_equals_the_definitional_scan_at_20_to_24_bits():
+    _check_tau_against_scan(2024, 2**19, 2**24, 80)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bits,count", [(26, 200), (32, 24)])
+def test_tau_equals_the_definitional_scan_at_26_and_32_bits(bits, count):
+    # about 5 s at 26 bits and 4 s at 32 bits
+    _check_tau_against_scan(bits, 2 ** (bits - 1), 2**bits, count)
 
 
 class TestTauPrime:
