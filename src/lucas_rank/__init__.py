@@ -26,7 +26,6 @@ from .gcd_identities import (
 )
 from .lucas_core import (
     LucasParams,
-    SequenceValue,
     make_params,
     u_exact,
     uv_mod,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "LucasParams",
-    "SequenceValue",
     "make_params",
     "u_exact",
     "v_exact",

@@ -31,10 +31,6 @@ class LucasParams:
     theorem_eligible: bool
 
 
-# U_n and V_n are plain arbitrary-precision integers.
-SequenceValue = int
-
-
 def make_params(a: int, b: int) -> LucasParams:
     """Validate (a, b) and compute delta = a^2 + 4b and eligibility.
 
@@ -84,12 +80,12 @@ def _iterate(params: LucasParams, n: int, x0: int, x1: int) -> int:
     return x0
 
 
-def u_exact(params: LucasParams, n: int) -> SequenceValue:
+def u_exact(params: LucasParams, n: int) -> int:
     """U_n as an exact integer, by iteration."""
     return _iterate(params, n, 0, 1)
 
 
-def v_exact(params: LucasParams, n: int) -> SequenceValue:
+def v_exact(params: LucasParams, n: int) -> int:
     """V_n as an exact integer, by iteration."""
     return _iterate(params, n, 2, params.a)
 

@@ -45,7 +45,7 @@ def _sieve(limit: int) -> bytearray:
 
 _SMALL_PRIME_FLAGS = _sieve(_TRIAL_LIMIT)  # 1 at each prime below 10^4
 _SMALL_PRIMES = [i for i, flag in enumerate(_SMALL_PRIME_FLAGS) if flag]
-_PRIME_TEST_DIVISORS = tuple(_SMALL_PRIMES[:64])  # trial division before Miller-Rabin
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES[:64])  # 2 .. 311: one gcd before Miller-Rabin
 
 # Below 10^4 the sieve answers.  Above, the first k primes as strong-probable-prime bases
 # certify every n < psi_k, the least strong pseudoprime to all k (Jaeschke, Math. Comp. 1993;
@@ -77,9 +77,8 @@ def _is_sprp(n: int, bases: tuple[int, ...]) -> bool:
 def is_prime(n: int) -> bool:
     if n < _TRIAL_LIMIT:
         return n >= 0 and _SMALL_PRIME_FLAGS[n] == 1
-    for p in _PRIME_TEST_DIVISORS:
-        if n % p == 0:
-            return False
+    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
+        return False
     for psi, k in _MR_PSI:
         if n < psi:
             return _is_sprp(n, _MR_BASES[:k])
@@ -206,28 +205,30 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     require_rank_modulus(params, m)
     if cap < 1:
         raise BadRange(f"need cap >= 1, got {cap}")
-    am = params.a % m
-    bm = params.b % m
-    if cap > _PLAIN_MAX:
-        found = _orbit_search(am, bm, m, cap)
-        if found is None:
-            raise NotFound(f"no index k <= {cap} with {m} | U_k")
-        return TauResult(found, "linear-scan")
+    walk = _orbit_search if cap > _PLAIN_MAX else _plain_scan
+    k = walk(params.a % m, params.b % m, m, cap)
+    if k is None:
+        raise NotFound(f"no index k <= {cap} with {m} | U_k")
+    return TauResult(k, "linear-scan")
+
+
+def _plain_scan(am: int, bm: int, m: int, cap: int) -> int | None:
+    """Least k <= cap with m | U_k, or None, stepping the recurrence two indices a pass."""
     u0, u1 = 0, 1 % m
     for k in range(1, cap, 2):  # U_k is in u1, U_{k+1} goes to u0
         if not u1:
-            return TauResult(k, "linear-scan")
+            return k
         u0 = (am * u1 + bm * u0) % m
         if not u0:
-            return TauResult(k + 1, "linear-scan")
+            return k + 1
         u1 = (am * u0 + bm * u1) % m
     if cap % 2 and not u1:  # an odd cap leaves U_cap unchecked in u1
-        return TauResult(cap, "linear-scan")
-    raise NotFound(f"no index k <= {cap} with {m} | U_k")
+        return cap
+    return None
 
 
 def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
-    """Least k <= cap with m | U_k, for a cap above 1024 (Shanks's baby steps, giant steps).
+    """Least k <= cap with m | U_k, or None (Shanks's baby steps, giant steps).
 
     Steps U_0 .. U_{G+1} mod m one by one, with the giant stride
     G = min(ceil(sqrt(cap)), 2^16), answering at a zero in U_1 .. U_G.
@@ -256,8 +257,6 @@ def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
             batch.append((x, y))
             x, y = (s11 * x + s12 * y) % m, (s21 * x + s22 * y) % m
         keys = _keys(batch, m, idempotents)
-        if index.keys().isdisjoint(keys):
-            continue
         for i, (gx, gy), key in zip(range(first, giants + 1), batch, keys):
             j = index.get(key)
             if j is not None and (gy * us[j + 1] - gx * us[j]) % m == 0:
@@ -286,14 +285,11 @@ def _keys(points: list[tuple[int, int]], m: int, idempotents: dict[int, int]) ->
     """
     if not idempotents:
         prefix, p = [], 1  # prefix[t] = the product of the nonzero y before point t
-        for start in range(0, len(points), _GIANT_BATCH):  # give up at the first non-unit chunk
-            for _, y in points[start : start + _GIANT_BATCH]:
-                prefix.append(p)
-                if y:
-                    p = p * y % m
-            if math.gcd(p, m) != 1:
-                break
-        else:
+        for _, y in points:
+            prefix.append(p)
+            if y:
+                p = p * y % m
+        if math.gcd(p, m) == 1:
             inverse = pow(p, -1, m)
             keys = [m * m] * len(points)
             for t in range(len(points) - 1, -1, -1):
@@ -327,13 +323,12 @@ def _keys(points: list[tuple[int, int]], m: int, idempotents: dict[int, int]) ->
     return keys
 
 
-def _strip_to_minimum(
-    params: LucasParams, target: int, multiple: int, seed: int
-) -> tuple[int, tuple[int, ...]]:
+def _strip_to_minimum(params: LucasParams, target: int, multiple: int, seed: int) -> TauResult:
     """Shrink a verified multiple of the rank to the rank itself.
 
     Every k with target | U_k is a multiple of tau(target), so removing
-    prime factors while divisibility persists lands exactly on tau.
+    prime factors while divisibility persists lands exactly on tau.  The
+    witness lists the multiple and every candidate tried, in order.
     """
     m = multiple
     witness = [m]
@@ -345,7 +340,7 @@ def _strip_to_minimum(
                 m = cand
             else:
                 break
-    return m, tuple(witness)
+    return TauResult(m, "divisor-minimality", tuple(witness))
 
 
 def tau_prime(params: LucasParams, p: int, *, seed: int = 0) -> TauResult:
@@ -363,8 +358,7 @@ def tau_prime(params: LucasParams, p: int, *, seed: int = 0) -> TauResult:
     if p == 2:  # an even a makes 2 | delta, so a is odd here and 2 | U_3 = a^2 + b
         return TauResult(3, "factorization-lift")
     eps = 1 if pow(params.delta % p, (p - 1) // 2, p) == 1 else -1
-    value, witness = _strip_to_minimum(params, p, p - eps, seed)
-    return TauResult(value, "divisor-minimality", witness)
+    return _strip_to_minimum(params, p, p - eps, seed)
 
 
 def tau_prime_power(params: LucasParams, p: int, e: int, *, seed: int = 0) -> TauResult:
@@ -407,5 +401,4 @@ def tau_min_divisor_oracle(
     require_rank_modulus(params, target)
     if uv_mod(params, multiple, target)[0] != 0:
         raise NotAMultiple(f"{target} does not divide U_{multiple}")
-    value, witness = _strip_to_minimum(params, target, multiple, seed)
-    return TauResult(value, "divisor-minimality", witness)
+    return _strip_to_minimum(params, target, multiple, seed)

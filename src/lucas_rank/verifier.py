@@ -218,10 +218,9 @@ def sweep(
             raise BadRange(f"empty range for {key}: {bounds}")
         if key == "p" and len(set(bounds)) < len(bounds):
             raise BadRange(f"repeated prime in p: {bounds}")
-    if "p" in grid:  # the triple's checks, in tau_triple's order, before any cell
-        require_eligible(params)
-        for p in grid["p"]:
-            closed_form.require_odd_prime(p)
+    require_eligible(params)  # every closed form's first check, made before any cell
+    for p in grid.get("p", ()):  # the triple's next one, in tau_triple's order
+        closed_form.require_odd_prime(p)
     points = THEOREM_TABLE[theorem].grid(grid)
     evaluate = partial(_evaluate_cell, params, theorem, oracle, scan_below, seed)
     workers = _worker_count(jobs, len(points))

@@ -30,6 +30,7 @@ from lucas_rank.verifier import (
     reproduce_remark,
     sweep,
 )
+from oracles import nu_slow
 
 PARAMS_GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
 TRIPLE_LABELS = THEOREM_TABLE["triple"].labels
@@ -48,15 +49,6 @@ def announce(capfd):
             print(line, flush=True)
 
     return emit
-
-
-def _nu_slow(p, x):
-    x = abs(x)
-    e = 0
-    while x and x % p == 0:
-        x //= p
-        e += 1
-    return e
 
 
 def test_remark_reproduction(announce):
@@ -169,7 +161,7 @@ def test_valuation_lemmas(announce):
             for n in range(1, 121):
                 for closed_fn, seq in ((nu_u, useq), (nu_v, vseq)):
                     got = closed_fn(params, p, n).value
-                    want = _nu_slow(p, seq[n])
+                    want = nu_slow(p, seq[n])
                     checked += 1
                     if got != want:
                         mismatches += 1

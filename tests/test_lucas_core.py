@@ -16,6 +16,7 @@ from lucas_rank.lucas_core import (
     uv_mod,
 )
 from lucas_rank.rank import tau
+from oracles import strong_probable_prime
 
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
 NEG_DELTA = [(-3, -5), (1, -2), (4, -5), (2, -3)]
@@ -277,21 +278,13 @@ class TestUvMod:
         assert uv_mod(p, n, modulus) == expect
 
 
-def _is_strong_probable_prime(n, base):
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    x = pow(base, d, n)
-    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
-
-
 def test_tau_with_a_prime_factor_above_2_64_is_certified():
     # m = 3 * (2^64 + 13): the strip for the large prime p starts at p - 1, past 2^63
     m, q = 3 * (2**64 + 13), 658_812_288_346_769_701
     k = tau(make_params(1, 1), m).value
     assert k == 2_635_249_153_387_078_804 == 2**2 * q
     # the first 12 prime bases decide every n below 3.18e23 (Sorenson-Webster 2017)
-    assert all(_is_strong_probable_prime(q, base)
+    assert all(strong_probable_prime(q, base)
                for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
     # [[1, 1], [1, 0]]^n has U_n below the diagonal: m | U_k, and m !| U_{k/q'}
     # for each prime q' | k, so k is the least such index

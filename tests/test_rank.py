@@ -33,6 +33,7 @@ from lucas_rank.rank import (
     tau_prime_power,
     tau_scan,
 )
+from oracles import strong_probable_prime
 
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
 
@@ -46,20 +47,6 @@ def _is_prime_slow(n):
             return False
         d += 1
     return True
-
-
-def _strong_probable_prime(n, a):
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(r - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
 
 
 class TestIsPrime:
@@ -115,7 +102,7 @@ class TestIsPrime:
         bases = [p for p in range(2, 100) if _is_prime_slow(p)]
         passed = 0
         for a in bases:
-            if not _strong_probable_prime(psi, a):
+            if not strong_probable_prime(psi, a):
                 break
             passed += 1
         # psi_k fools the first k bases, so "n < psi_k" cannot be relaxed to "<="
@@ -277,6 +264,24 @@ class TestPlainLoop:
                 want = _outcome(_reference_scan, params, m, cap)
                 assert _outcome(tau_scan, params, m, cap) == want, (m, cap)
         assert parities == {0, 1}
+
+
+class TestWalkContract:
+    """`_plain_scan` and `_orbit_search` answer alike at caps that `tau_scan` routes to only one."""
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, -1), (4, -3), (1, -2)])  # (1, -2): delta = -7
+    def test_both_walks_match_the_reference(self, a, b):
+        params = make_params(a, b)
+        for m in (1, 2, 8, 25, 97, 10_007, 60_042):
+            if math.gcd(m, b) != 1:
+                continue  # the walks leave this refusal to tau_scan
+            for cap in [*range(1, 301), 1023, 1024]:
+                try:
+                    want = _reference_scan(params, m, cap).value
+                except NotFound:
+                    want = None
+                for walk in (rank._plain_scan, rank._orbit_search):
+                    assert walk(a % m, b % m, m, cap) == want, (walk.__name__, m, cap)
 
 
 _MID_PRIMES = [p for p in range(10_001, 20_000, 2) if _is_prime_slow(p)]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lucas_rank.lucas_core import make_params, u_exact, v_exact
-from lucas_rank.rank import _MR_PSI, _PRIME_TEST_DIVISORS, factorize, is_prime
+from lucas_rank.rank import _MR_PSI, factorize, is_prime
 
 sympy = pytest.importorskip("sympy")
 
@@ -49,8 +49,9 @@ def _tier_numbers(lo: int, hi: int, rng: random.Random) -> list[int]:
         if p < hi:
             numbers.append(p)
     numbers += [rng.randrange(lo, hi - 1) | 1 for _ in range(20)]
-    # below 10^4 no semiprime escapes trial division, so take any odd factors
-    smallest = 3 if hi <= 10 ** 4 else _PRIME_TEST_DIVISORS[-1] + 1
+    # below 10^4 the sieve answers, so take any odd factors; above, take factors past 311,
+    # the largest of the 64 primes that `is_prime` screens with one gcd before Miller-Rabin
+    smallest = 3 if hi <= 10 ** 4 else 312
     while len(numbers) < 60:
         p = int(sympy.nextprime(rng.randrange(smallest, math.isqrt(hi))))
         q = int(sympy.nextprime(rng.randrange(max(p, lo // p), hi // p)))

@@ -10,17 +10,9 @@ from lucas_rank.errors import Degenerate, NotCoprime, NotPrime, PrimeDividesB, Z
 from lucas_rank.lucas_core import make_params, u_exact, v_exact
 from lucas_rank.rank import is_prime
 from lucas_rank.valuation import Valuation, nu_int, nu_u, nu_v
+from oracles import nu_slow
 
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
-
-
-def _nu_slow(p, x):
-    x = abs(x)
-    e = 0
-    while x and x % p == 0:
-        x //= p
-        e += 1
-    return e
 
 
 class TestNuInt:
@@ -63,7 +55,7 @@ class TestNuU:
         params = make_params(a, b)
         r = nu_u(params, p, n)
         assert (r.value, r.prime, r.case) == (expected, p, case)
-        assert r.value == _nu_slow(p, u_exact(params, n))
+        assert r.value == nu_slow(p, u_exact(params, n))
 
     def test_prime_dividing_b_rejected(self):
         with pytest.raises(PrimeDividesB):
@@ -89,7 +81,7 @@ class TestNuU:
             if b % p == 0:
                 continue
             for n in range(1, 81):
-                assert nu_u(params, p, n).value == _nu_slow(p, useq[n]), (a, b, p, n)
+                assert nu_u(params, p, n).value == nu_slow(p, useq[n]), (a, b, p, n)
 
     @pytest.mark.parametrize("a,b", GRID)
     def test_case_tags_partition(self, a, b):
@@ -123,7 +115,7 @@ class TestNuV:
         params = make_params(a, b)
         r = nu_v(params, p, n)
         assert (r.value, r.prime, r.case) == (expected, p, case)
-        assert r.value == _nu_slow(p, v_exact(params, n))
+        assert r.value == nu_slow(p, v_exact(params, n))
 
     def test_prime_dividing_b_rejected(self):
         with pytest.raises(PrimeDividesB):
@@ -141,7 +133,7 @@ class TestNuV:
             if b % p == 0:
                 continue
             for n in range(1, 81):
-                assert nu_v(params, p, n).value == _nu_slow(p, vseq[n]), (a, b, p, n)
+                assert nu_v(params, p, n).value == nu_slow(p, vseq[n]), (a, b, p, n)
 
 
 class TestStructuralFacts:
@@ -171,16 +163,16 @@ class TestStructuralFacts:
         assert len(pairs) >= 20
         for p in pairs:
             u3, u6 = u_exact(p, 3), u_exact(p, 6)
-            assert _nu_slow(2, u3) == 1
-            assert _nu_slow(2, u6) == _nu_slow(2, p.a * p.a + 3 * p.b) + 1
+            assert nu_slow(2, u3) == 1
+            assert nu_slow(2, u6) == nu_slow(2, p.a * p.a + 3 * p.b) + 1
 
     def test_even_valuations_when_b_is_3_mod_4(self):
         pairs = self._odd_pairs(3)
         assert len(pairs) >= 20
         for p in pairs:
             u3, u6 = u_exact(p, 3), u_exact(p, 6)
-            assert _nu_slow(2, u3) >= 2
-            assert _nu_slow(2, u6) == _nu_slow(2, u3) + 1
+            assert nu_slow(2, u3) >= 2
+            assert nu_slow(2, u6) == nu_slow(2, u3) + 1
 
 
 def _valid(ab):
@@ -201,5 +193,5 @@ def test_closed_forms_match_direct_valuation_for_random_params(ab, data):
     params = make_params(*ab)
     p = data.draw(st.sampled_from([p for p in range(2, 50) if is_prime(p) and ab[1] % p]))
     n = data.draw(st.integers(1, 300))
-    assert nu_u(params, p, n).value == _nu_slow(p, u_exact(params, n))
-    assert nu_v(params, p, n).value == _nu_slow(p, v_exact(params, n))
+    assert nu_u(params, p, n).value == nu_slow(p, u_exact(params, n))
+    assert nu_v(params, p, n).value == nu_slow(p, v_exact(params, n))

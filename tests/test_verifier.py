@@ -230,6 +230,17 @@ class TestWorkerCount:
         report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, jobs=64)
         assert started == [2] and report.summary.agreed == 1
 
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_ineligible_params_refused_before_the_pool(self, monkeypatch, theorem):
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("the pool started before the parameters were checked")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        with pytest.raises(NotEligible):
+            sweep(make_params(-1, 2), theorem, jobs=2)
+
 
 class TestDisagreementPath:
     def test_wrong_multiple_is_recorded(self, monkeypatch):
