@@ -58,6 +58,8 @@ def _csv_path(text: str) -> str:
     folder = os.path.dirname(text) or "."
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if os.path.exists(text) and not os.access(text, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is not writable")
     if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
         raise argparse.ArgumentTypeError(f"no writable directory {folder!r} for {text!r}")
     return text

@@ -157,6 +157,10 @@ def factorize(x: int, *, bound: int = FACTOR_BOUND, seed: int = 0) -> Factorizat
             # no factor below 10^4 survives, so small cofactors are prime
             counts[t] = counts.get(t, 0) + 1
             continue
+        r = math.isqrt(t)
+        if r * r == t:  # rho would take about sqrt(r) steps to split r * r
+            stack += (r, r)
+            continue
         rng = rng or random.Random(seed)
         d = _rho_brent(t, rng)
         stack += (d, t // d)
@@ -245,8 +249,8 @@ def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
         if us[k] == 0:
             return k
         us.append((am * us[k] + bm * us[k - 1]) % m)
-    idempotents: dict[int, int] = {}
-    babies = _keys(list(zip(us[1 : stride + 1], us[:stride])), m, idempotents)
+    cofactors: dict[int, int] = {}
+    babies = _keys(list(zip(us[1 : stride + 1], us[:stride])), m, cofactors)
     index = dict(zip(babies, range(stride)))
     s11, s12, s21, s22 = us[stride + 1], bm * us[stride] % m, us[stride], bm * us[stride - 1] % m
     x, y = s11, s21  # P_G
@@ -256,7 +260,7 @@ def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
         for _ in range(min(_GIANT_BATCH, giants + 1 - first)):
             batch.append((x, y))
             x, y = (s11 * x + s12 * y) % m, (s21 * x + s22 * y) % m
-        keys = _keys(batch, m, idempotents)
+        keys = _keys(batch, m, cofactors)
         for i, (gx, gy), key in zip(range(first, giants + 1), batch, keys):
             j = index.get(key)
             if j is not None and (gy * us[j + 1] - gx * us[j]) % m == 0:
@@ -265,25 +269,24 @@ def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
     return None
 
 
-def _keys(points: list[tuple[int, int]], m: int, idempotents: dict[int, int]) -> list[int]:
+def _keys(points: list[tuple[int, int]], m: int, cofactors: dict[int, int]) -> list[int]:
     """One int per point (x : y) of P^1(Z/m), equal exactly when the points are.
 
-    With g = gcd(y, m), y is a unit mod m1, the largest divisor of m
-    prime to g, and x is one mod m2 = m/m1.  The unit w equal to y mod m1
-    and x mod m2 (through the CRT idempotent of m1, cached per g) scales
-    every representative of the point to the same (x/w, y/w); compare
-    the M-symbols of Cremona, Algorithms for Modular Elliptic Curves,
-    ch. 2.  That pair is 1 in y mod m1 and 1 in x mod m2, so g and
-    c = (x + y - w)/w, which is x/w mod m1 and y/w mod m2, pin it down.
+    With g = gcd(y, m) and m1 the largest divisor of m prime to g (cached
+    per g), w = y + m1*x is a unit mod m: it is y mod m1, where y is a unit,
+    and m1*x mod each prime of g, which divides y but not x.  Scaling the
+    point by a unit scales w by the same unit, so every representative
+    becomes (c : 1 - m1*c) with c = x/w, and g*m + c names the point.
     All the w are inverted with one `pow` (Montgomery, Math. Comp. 48, 1987).
 
-    Until the search meets a y that is not a unit (the cache of idempotents
+    Until the search meets a y that is not a unit (the cache of cofactors
     is empty), a batch is first tried as all units: if the product of its
     nonzero y is a unit, each point is keyed m + x/y mod m straight away,
-    or m*m for y = 0, the same int as below.  A batch that fails leaves an
-    idempotent in the cache, so later batches go straight to the general path.
+    or m*m + 1 for y = 0 (g = m, m1 = 1, w = x), the same int as below.  A
+    batch that fails leaves a cofactor in the cache, so later batches go
+    straight to the general path.
     """
-    if not idempotents:
+    if not cofactors:
         prefix, p = [], 1  # prefix[t] = the product of the nonzero y before point t
         for _, y in points:
             prefix.append(p)
@@ -291,7 +294,7 @@ def _keys(points: list[tuple[int, int]], m: int, idempotents: dict[int, int]) ->
                 p = p * y % m
         if math.gcd(p, m) == 1:
             inverse = pow(p, -1, m)
-            keys = [m * m] * len(points)
+            keys = [m * m + 1] * len(points)
             for t in range(len(points) - 1, -1, -1):
                 x, y = points[t]
                 if y:
@@ -301,24 +304,20 @@ def _keys(points: list[tuple[int, int]], m: int, idempotents: dict[int, int]) ->
     ws, gs, prefix = [], [], [1]
     for x, y in points:
         g = math.gcd(y, m)
-        if g == 1:
-            w = y
-        else:
-            e = idempotents.get(g)
-            if e is None:
-                m1 = m
-                while (d := math.gcd(m1, g)) > 1:
-                    m1 //= d
-                e = idempotents[g] = m // m1 * pow(m // m1, -1, m1) % m  # 1 mod m1, 0 mod m2
-            w = (x + (y - x) * e) % m
+        m1 = cofactors.get(g)
+        if m1 is None:
+            m1 = m
+            while (d := math.gcd(m1, g)) > 1:
+                m1 //= d
+            cofactors[g] = m1
+        w = (y + m1 * x) % m
         ws.append(w)
         gs.append(g)
         prefix.append(prefix[-1] * w % m)
     inverse = pow(prefix[-1], -1, m)  # 1 / (w_0 ... w_{n-1})
     keys = [0] * len(points)
     for t in range(len(points) - 1, -1, -1):
-        x, y = points[t]
-        keys[t] = gs[t] * m + (x + y - ws[t]) * inverse * prefix[t] % m
+        keys[t] = gs[t] * m + points[t][0] * inverse * prefix[t] % m
         inverse = inverse * ws[t] % m
     return keys
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
 import sys
 
 import pytest
@@ -243,14 +244,18 @@ class TestVerify:
         assert lines[0].startswith("theorem,a,b,inputs")
         assert len(lines) == 5
 
-    @pytest.mark.parametrize("where", ["missing-dir", "directory", "empty"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "empty", "read-only-file"])
     def test_sweep_csv_unwritable_refused_before_work(self, capsys, monkeypatch, tmp_path, where):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before the --csv path was checked")
 
         monkeypatch.setattr(verifier, "sweep", no_sweep)
         path = {"missing-dir": tmp_path / "no" / "such" / "x.csv", "directory": tmp_path,
-                "empty": ""}[where]
+                "empty": "", "read-only-file": tmp_path / "cells.csv"}[where]
+        if where == "read-only-file":
+            path.write_text("kept\n")
+            access = os.access  # a superuser may write any file, so os.access says it may not
+            monkeypatch.setattr(os, "access", lambda p, mode: str(p) != str(path) and access(p, mode))
         code, out, err = _run(
             capsys, "verify", "sweep", "--theorem", "um-un",
             "--m-max", "4", "--n-max", "4", "--csv", str(path),

@@ -119,6 +119,7 @@ class TestFactorize:
             (272, ((2, 4), (17, 1))),
             (82500, ((2, 2), (3, 1), (5, 4), (11, 1))),
             (907500, ((2, 2), (3, 1), (5, 4), (11, 2))),
+            ((10_009 * 1_073_741_827) ** 2, ((10_009, 2), (1_073_741_827, 2))),  # square, 87 bits
         ],
     )
     def test_known_values(self, x, expected):
@@ -152,6 +153,15 @@ class TestFactorize:
         n = 10037 * 10193
         assert factorize(n, seed=0).factors == ((10037, 1), (10193, 1))
         assert _rho_brent(n, random.Random(0)) in (10037, 10193)
+
+    def test_square_of_a_prime_needs_no_rho(self, monkeypatch):
+        def no_rho(n, rng):
+            raise AssertionError(f"rho ran on {n}")
+
+        p = 140_737_488_355_333  # 47 bits: rho would take about 2^23 steps on p * p
+        assert is_prime(p)
+        monkeypatch.setattr(rank, "_rho_brent", no_rho)
+        assert factorize(p * p).factors == ((p, 2),)
 
     def test_deterministic_across_seeds(self):
         x = 999983 * 1000003 * 17
@@ -245,9 +255,18 @@ def _outcome(fn, params, m, cap):
 def _general_keys(points, m):
     """`rank._keys` on its general path: a non-empty cache skips the all-units attempt.
 
-    The entry is the true idempotent for g = m (m1 = 1), so it cannot change a key.
+    The entry is the true cofactor m1 = 1 for g = m, so it cannot change a key.
     """
-    return rank._keys(points, m, {m: 0})
+    return rank._keys(points, m, {m: 1})
+
+
+def _smooth_part(k):
+    """The part of the Fibonacci number U_k made of primes below 10^4."""
+    u, m = u_exact(make_params(1, 1), k), 1
+    for p in rank._SMALL_PRIMES:
+        while u % p == 0:
+            u, m = u // p, m * p
+    return m
 
 
 class TestPlainLoop:
@@ -435,9 +454,9 @@ class TestBlockScan:
                 points.append((x, y))
         zero = (points[0][1], 0)  # (unit : 0) is the point (1 : 0)
         for batch in (points, [zero] + points, points[:100] + [zero] + points[100:130], [zero]):
-            idempotents = {}
-            keys = rank._keys(batch, m, idempotents)
-            assert not idempotents  # keyed by the unit path, which caches nothing
+            cofactors = {}
+            keys = rank._keys(batch, m, cofactors)
+            assert not cofactors  # keyed by the unit path, which caches nothing
             assert keys == _general_keys(batch, m)
 
     @pytest.mark.parametrize("m", [2**64, 3**5 * 7**3 * 101, 2 * (10**6 + 3)])
@@ -452,15 +471,48 @@ class TestBlockScan:
         points[at] = (1, m // 2 if m % 2 == 0 else m // 7)  # one y that is not a unit
         points[at // 2 + 1] = (1, 0)
         for batch in (points, points[: at + 2]):  # a long batch, and one ending near the non-unit
-            idempotents = {}
-            assert rank._keys(batch, m, idempotents) == _general_keys(batch, m)
-            assert idempotents  # the general path ran, so later batches skip the unit attempt
+            cofactors = {}
+            assert rank._keys(batch, m, cofactors) == _general_keys(batch, m)
+            assert cofactors  # the general path ran, so later batches skip the unit attempt
+
+    @pytest.mark.parametrize("m", [
+        2**10 * 3**4 * 5**2 * 7,  # rank 172800
+        _smooth_part(1260),  # 159 bits, rank 1260
+        2**64,  # rank 3 * 2^63
+    ], ids=["2^10*3^4*5^2*7", "U_1260 smooth part", "2^64"])
+    def test_orbit_keys_are_canonical_at_scale(self, m):
+        # P_0 .. P_{n-1} (n = min(tau, 2000)) are distinct points, a unit multiple of a
+        # point is the same point, and P_tau is P_0; keyed one point a call with an empty
+        # cache, every unit or zero y takes the unit path
+        params = make_params(1, 1)
+        try:
+            t = _reference_scan(params, m, 2000).value
+        except NotFound:
+            t = None
+        n = t or 2000
+        us = [0, 1]  # U_0 .. U_{n+1} mod m
+        while len(us) < n + 2:
+            us.append((us[-1] + us[-2]) % m)
+        points = [(us[k + 1], us[k]) for k in range(n + 1)]  # P_0 .. P_n
+        rng = random.Random(m)
+        scaled = []
+        for x, y in points:
+            while math.gcd(u := rng.randrange(1, m), m) > 1:
+                pass
+            scaled.append((u * x % m, u * y % m))
+        for keyed in (lambda batch: [rank._keys([p], m, {})[0] for p in batch],
+                      lambda batch: _general_keys(batch, m)):
+            keys = keyed(points)
+            assert len(set(keys[:n])) == n
+            assert keyed(scaled) == keys
+            if t is not None:
+                assert keys[t] == keys[0]
 
     def test_confirmation_guards_every_answer(self, monkeypatch):
         # every point gets the same key, so each giant point "matches" the last baby;
         # only the cross-product check stands between that and a wrong k.  `_keys` holds
         # both the unit path and the general path, so this forces a match through each
-        monkeypatch.setattr(rank, "_keys", lambda points, m, idempotents: [0] * len(points))
+        monkeypatch.setattr(rank, "_keys", lambda points, m, cofactors: [0] * len(points))
         cases = [((1, 1), 16_776_623, 250_000), ((1, 1), 2**17, 200_000), ((3, -1), 199_999, 5000),
                  ((1, -3), 2**10 * 10_007 * 10_009, 200_000), ((2, 1), 10**6 + 3, 3000)]
         for ab, m, cap in cases:
