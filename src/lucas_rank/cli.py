@@ -11,9 +11,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
 
-from . import rank, verifier
+from . import rank
 from .errors import LucasRankError
 from .gcd_identities import divides_uu, divides_vu, gcd_uu, gcd_uv, gcd_vv
 from .lucas_core import make_params, u_exact, uv_mod, v_exact
@@ -73,14 +72,14 @@ def _params(ns):
 
 
 def _handler(compute):
-    """Print what compute(ns) returns: a result dataclass or a (text, JSON payload) pair.
+    """Print what compute(ns) returns: a result record or a (text, JSON payload) pair.
 
-    A dataclass prints its value as text and its fields in order as JSON.
+    A record prints its value as text and its fields in order as JSON.
     """
 
     def handler(ns) -> int:
         r = compute(ns)
-        text, payload = (str(r.value), asdict(r)) if is_dataclass(r) else r
+        text, payload = (str(r.value), r._asdict()) if hasattr(r, "_asdict") else r
         print(json.dumps(payload) if ns.format == "json" else text)
         return 0
 
@@ -91,6 +90,8 @@ def _report_handler(compute):
     """Print the SweepReport compute(ns) returns, write --csv; exit 2 on a disagreement."""
 
     def handler(ns) -> int:
+        from . import verifier
+
         report = compute(ns)
         if ns.format == "json":
             print(verifier.report_to_json(report, include_timings=ns.timings))
@@ -124,6 +125,8 @@ _SWEEP_FLAGS = {"m_min": "m", "m_max": "m", "primes": "p"}
 
 
 def _cmd_verify_sweep(ns):
+    from . import verifier
+
     keys = verifier.THEOREM_TABLE[ns.theorem].keys
     for flag, key in _SWEEP_FLAGS.items():
         if getattr(ns, flag) is not None and key not in keys:
@@ -146,7 +149,11 @@ def _cmd_verify_sweep(ns):
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The parser; given `commands`, the other top-level subcommands are left bare.
+
+    A bare subcommand has no options, but still shows in the top-level help and choices.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=int, default=1, help="coefficient a (default 1)")
     common.add_argument("--b", type=int, default=1, help="coefficient b (default 1)")
@@ -158,9 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     top = parser.add_subparsers(dest="command", required=True)
 
+    def built(name, text):
+        """Whether `name` gets its options; if not, it is added bare."""
+        if commands is None or name in commands:
+            return True
+        top.add_parser(name, help=text)
+        return False
+
     def group(name, text):
-        """A subcommand that only holds subcommands, chosen as ns.which."""
-        return top.add_parser(name, help=text).add_subparsers(dest="which", required=True)
+        """A subcommand that only holds subcommands, chosen as ns.which; None if left bare."""
+        if built(name, text):
+            return top.add_parser(name, help=text).add_subparsers(dest="which", required=True)
+        return None
 
     def command(parent, name, compute, flags, **kwargs):
         """A subcommand printed by _handler(compute); flags maps each to (type, help)."""
@@ -170,65 +186,71 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_handler(compute))
         return p
 
-    seq = group("seq", "evaluate U_n or V_n")
-    for name in ("u", "v"):
-        command(seq, name, _seq, {"--n": (_nonneg, None)})
-    command(seq, "mod", _seq_mod, {"--n": (_nonneg, None), "--modulus": (_positive, None)})
+    if seq := group("seq", "evaluate U_n or V_n"):
+        for name in ("u", "v"):
+            command(seq, name, _seq, {"--n": (_nonneg, None)})
+        command(seq, "mod", _seq_mod, {"--n": (_nonneg, None), "--modulus": (_positive, None)})
 
-    val = group("val", "p-adic valuations")
-    for name, arg, kind, compute in (
-        ("u", "--n", _positive, lambda ns: nu_u(_params(ns), ns.p, ns.n)),
-        ("v", "--n", _positive, lambda ns: nu_v(_params(ns), ns.p, ns.n)),
-        ("int", "--x", int, lambda ns: nu_int(ns.p, ns.x)),
-    ):
-        command(val, name, compute, {"--p": (_positive, None), arg: (kind, None)})
+    if val := group("val", "p-adic valuations"):
+        for name, arg, kind, compute in (
+            ("u", "--n", _positive, lambda ns: nu_u(_params(ns), ns.p, ns.n)),
+            ("v", "--n", _positive, lambda ns: nu_v(_params(ns), ns.p, ns.n)),
+            ("int", "--x", int, lambda ns: nu_int(ns.p, ns.x)),
+        ):
+            command(val, name, compute, {"--p": (_positive, None), arg: (kind, None)})
 
-    gcd = group("gcd", "gcd closed forms")
-    for name, fn in (("uu", gcd_uu), ("vv", gcd_vv), ("uv", gcd_uv)):
-        command(gcd, name, lambda ns, fn=fn: fn(_params(ns), ns.m, ns.n),
-                {"--m": (_positive, None), "--n": (_positive, None)})
+    if gcd := group("gcd", "gcd closed forms"):
+        for name, fn in (("uu", gcd_uu), ("vv", gcd_vv), ("uv", gcd_uv)):
+            command(gcd, name, lambda ns, fn=fn: fn(_params(ns), ns.m, ns.n),
+                    {"--m": (_positive, None), "--n": (_positive, None)})
 
-    div = group("divides", "index-based divisibility")
-    for name in ("uu", "vu"):
-        command(div, name, _divides, {"--n": (_positive, "divisor index"),
-                                      "--m": (_positive, "dividend index")})
+    if div := group("divides", "index-based divisibility"):
+        for name in ("uu", "vu"):
+            command(div, name, _divides, {"--n": (_positive, "divisor index"),
+                                          "--m": (_positive, "dividend index")})
 
-    command(top, "tau", lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed),
-            {"--m": (_positive, None)}, help="rank of apparition, fast path")
-    p = command(top, "tau-scan", lambda ns: rank.tau_scan(
-        _params(ns), ns.m, ns.cap or 10 * ns.m * ns.m + 10), {"--m": (_positive, None)},
-        help="rank of apparition by definitional scan")
-    p.add_argument("--cap", type=_positive, default=None,
-                   help="scan limit (default 10*m^2 + 10)")
+    if built("tau", text := "rank of apparition, fast path"):
+        command(top, "tau", lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed),
+                {"--m": (_positive, None)}, help=text)
+    if built("tau-scan", text := "rank of apparition by definitional scan"):
+        p = command(top, "tau-scan", lambda ns: rank.tau_scan(
+            _params(ns), ns.m, ns.cap or 10 * ns.m * ns.m + 10), {"--m": (_positive, None)},
+            help=text)
+        p.add_argument("--cap", type=_positive, default=None,
+                       help="scan limit (default 10*m^2 + 10)")
 
-    formula = group("formula", "closed forms for tau of products")
-    for name, theorem in verifier.THEOREM_TABLE.items():
-        command(formula, name, lambda ns, theorem=theorem: theorem.evaluate(
-            _params(ns), vars(ns)), {f"--{key}": (_positive, None) for key in theorem.keys})
+    if formula := group("formula", "closed forms for tau of products"):
+        from . import verifier  # with closed_form; no other command loads them
 
-    verify = group("verify", "grid verification reports")
-    report_common = argparse.ArgumentParser(add_help=False)
-    report_common.add_argument("--csv", type=_csv_path, default=None, metavar="PATH",
-                               help="also write the cells to a CSV file")
-    report_common.add_argument("--timings", action="store_true",
-                               help="include per-cell wall times in the output")
-    p = verify.add_parser("sweep", parents=[common, report_common])
-    p.add_argument("--theorem", choices=verifier.THEOREMS, required=True)
-    p.add_argument("--m-min", type=_positive, default=None)
-    p.add_argument("--m-max", type=_positive, default=None)
-    p.add_argument("--n-min", type=_positive, default=None)
-    p.add_argument("--n-max", type=_positive, default=None)
-    p.add_argument("--primes", type=_prime_list, default=None,
-                   help="comma-separated odd primes for the triple form")
-    p.add_argument("--oracle", choices=verifier.ORACLES, default="divisor-minimality")
-    p.add_argument("--scan-below", type=_nonneg, default=None,
-                   help="extra definitional scan for values below this bound")
-    p.add_argument("--jobs", type=_positive, default=1, help="worker processes (default 1)")
-    p.set_defaults(func=_report_handler(_cmd_verify_sweep), usage_error=p.error)
-    p = verify.add_parser("remark", parents=[common, report_common])
-    p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)))
-    p = verify.add_parser("fixtures", parents=[common, report_common])
-    p.set_defaults(func=_report_handler(lambda ns: verifier.check_delta_negative_fixtures()))
+        for name, theorem in verifier.THEOREM_TABLE.items():
+            command(formula, name, lambda ns, theorem=theorem: theorem.evaluate(
+                _params(ns), vars(ns)), {f"--{key}": (_positive, None) for key in theorem.keys})
+
+    if verify := group("verify", "grid verification reports"):
+        from . import verifier
+
+        report_common = argparse.ArgumentParser(add_help=False)
+        report_common.add_argument("--csv", type=_csv_path, default=None, metavar="PATH",
+                                   help="also write the cells to a CSV file")
+        report_common.add_argument("--timings", action="store_true",
+                                   help="include per-cell wall times in the output")
+        p = verify.add_parser("sweep", parents=[common, report_common])
+        p.add_argument("--theorem", choices=verifier.THEOREMS, required=True)
+        p.add_argument("--m-min", type=_positive, default=None)
+        p.add_argument("--m-max", type=_positive, default=None)
+        p.add_argument("--n-min", type=_positive, default=None)
+        p.add_argument("--n-max", type=_positive, default=None)
+        p.add_argument("--primes", type=_prime_list, default=None,
+                       help="comma-separated odd primes for the triple form")
+        p.add_argument("--oracle", choices=verifier.ORACLES, default="divisor-minimality")
+        p.add_argument("--scan-below", type=_nonneg, default=None,
+                       help="extra definitional scan for values below this bound")
+        p.add_argument("--jobs", type=_positive, default=1, help="worker processes (default 1)")
+        p.set_defaults(func=_report_handler(_cmd_verify_sweep), usage_error=p.error)
+        p = verify.add_parser("remark", parents=[common, report_common])
+        p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)))
+        p = verify.add_parser("fixtures", parents=[common, report_common])
+        p.set_defaults(func=_report_handler(lambda ns: verifier.check_delta_negative_fixtures()))
 
     return parser
 
@@ -246,8 +268,11 @@ def run(argv=None) -> int:
 
 
 def _dispatch(argv) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first word, since the top level takes no option with a value
+    command = [arg for arg in argv if not arg.startswith("-")][:1]
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(command).parse_args(argv)
         return ns.func(ns)
     except _UsageError as exc:  # from parsing, or a handler's ns.usage_error
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ into it.  Requires eligible coefficients: a > 0 and delta > 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import rank
 from .errors import BadRange, NotOddPrime
@@ -17,11 +17,10 @@ from .gcd_identities import check_pair, gcd_vv
 from .lucas_core import LucasParams, nu2, require_eligible, u_exact, v_exact
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
+class ClosedFormResult(NamedTuple):
     value: int
     case_label: str
-    ingredients: dict = field(default_factory=dict)
+    ingredients: dict
 
 
 def tau_um_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:

@@ -9,14 +9,13 @@ ambiguous "1 or 2" branches are resolved by the parity rules
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadRange
 from .lucas_core import LucasParams, nu2, require_eligible, u_exact, v_exact
 
 
-@dataclass(frozen=True)
-class GcdWitness:
+class GcdWitness(NamedTuple):
     value: int
     branch: str  # "U_d" | "V_d" | "1" | "2"
     d: int

@@ -7,7 +7,7 @@ ladder, so the two paths can be checked against each other.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadRange, Degenerate, NotCoprime, NotEligible, TooLarge, ZeroModulus
 
@@ -21,8 +21,7 @@ _DEGENERATE_PAIRS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class LucasParams(NamedTuple):
     """Validated coefficient pair plus derived facts used everywhere else."""
 
     a: int

@@ -12,7 +12,7 @@ minimality without trusting the lifting formulas.
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadRange, NotAMultiple, NotCoprimeToB, NotFound, NotPrime, TooLarge
 from .lucas_core import LucasParams, nu, uv_mod
@@ -21,14 +21,12 @@ FACTOR_BOUND = 2 ** 96
 _TRIAL_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     value: int
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), sorted by prime
 
 
-@dataclass(frozen=True)
-class TauResult:
+class TauResult(NamedTuple):
     value: int
     method: str  # "linear-scan" | "divisor-minimality" | "factorization-lift"
     witness: tuple[int, ...] | None = None

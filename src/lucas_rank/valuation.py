@@ -6,15 +6,14 @@ dispatch.  Primes dividing b are refused outright: no finite closed
 form covers them.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rank
 from .errors import BadRange, PrimeDividesB, ZeroArgument
 from .lucas_core import LucasParams, nu, u_exact
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     value: int
     prime: int
     case: str | None = None

@@ -13,8 +13,8 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 from . import closed_form, rank
 from .errors import BadRange, NotAMultiple, NotEligible, NotFound
@@ -36,8 +36,7 @@ def _triple_grid(ranges: dict) -> list[dict]:
     return [{"n": n, "p": p} for p in ranges["p"] for n in range(n_lo, n_hi + 1)]
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One product closed form: how to evaluate it, recompute it and sweep it."""
 
     closed_form: str  # function name in `closed_form`, looked up on each call
@@ -89,8 +88,7 @@ DEFAULT_SCAN_BELOW = 10 ** 7
 _SCAN_HARD_CAP = 10 ** 8
 
 
-@dataclass
-class SweepCell:
+class SweepCell(NamedTuple):
     inputs: dict
     closed_form_value: int
     oracle_value: int | None
@@ -99,16 +97,14 @@ class SweepCell:
     elapsed_ms: float = 0.0
 
 
-@dataclass
-class SweepSummary:
+class SweepSummary(NamedTuple):
     total: int
     agreed: int
     disagreed: int
     branch_coverage: dict
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     params: LucasParams
     theorem: str
     cells: list
@@ -262,8 +258,10 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
         ratio=alternative // cell.closed_form_value,
         oracle_method="divisor-minimality",
     )
-    cell.agree = cell.agree and alt_strips_to == cell.closed_form_value
-    cell.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    cell = cell._replace(
+        agree=cell.agree and alt_strips_to == cell.closed_form_value,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+    )
     return SweepReport(params, "remark", [cell], _summarize([cell]))
 
 
@@ -326,9 +324,20 @@ def check_delta_negative_fixtures() -> SweepReport:
     return SweepReport(params, "fixtures", cells, _summarize(cells))
 
 
+def _plain(value):
+    """Records as dicts of their fields in order, recursively; dicts and lists are copied."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 def report_to_dict(report: SweepReport, *, include_timings: bool = False) -> dict:
-    """The report's fields in declaration order, copied by `dataclasses.asdict`."""
-    d = asdict(report)
+    """The report's fields in declaration order, as fresh dicts and lists."""
+    d = _plain(report)
     if not include_timings:
         for cell in d["cells"]:
             del cell["elapsed_ms"]
@@ -385,7 +394,7 @@ def report_to_csv(report: SweepReport, *, include_timings: bool = False) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    columns = [f.name for f in fields(SweepCell) if include_timings or f.name != "elapsed_ms"]
+    columns = [f for f in SweepCell._fields if include_timings or f != "elapsed_ms"]
     writer.writerow(["theorem", "a", "b", *columns])
     for d in report_to_dict(report, include_timings=include_timings)["cells"]:
         d["inputs"] = json.dumps(d["inputs"], sort_keys=True)

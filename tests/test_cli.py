@@ -8,7 +8,7 @@ import pytest
 
 import lucas_rank.closed_form as closed_form
 import lucas_rank.verifier as verifier
-from lucas_rank.cli import run
+from lucas_rank.cli import build_parser, run
 from lucas_rank.closed_form import ClosedFormResult
 from lucas_rank.lucas_core import make_params, u_exact, v_exact
 
@@ -403,3 +403,17 @@ class TestExitCodes:
         code, _, err = _run(capsys, "tau", "--a", "2", "--b", "4", "--m", "5")
         assert code == 1
         assert err.startswith("error: NotCoprime")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "u", "--n", "5"],
+    ["tau", "--m", "77", "--format", "json"],
+    ["formula", "triple", "--n", "5", "--p", "3"],
+    ["verify", "sweep", "--theorem", "um-un", "--m-max", "4"],
+], ids=lambda argv: argv[0])
+def test_full_parser_reads_argv_as_the_one_run_builds(argv):
+    """`run` builds only the called command; `build_parser()` still builds every one."""
+    full, part = (vars(p.parse_args(argv)) for p in (build_parser(), build_parser(argv[:1])))
+    assert full.keys() == part.keys()
+    assert ({k: v for k, v in full.items() if not callable(v)}
+            == {k: v for k, v in part.items() if not callable(v)})

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucas_rank.closed_form import tau_triple
 from lucas_rank.errors import Degenerate, NotCoprime, TooLarge, ZeroModulus
+from lucas_rank.gcd_identities import gcd_uu
 from lucas_rank.lucas_core import (
     EXACT_INDEX_CAP,
-    LucasParams,
     make_params,
     u_exact,
     v_exact,
     uv_mod,
 )
-from lucas_rank.rank import tau
+from lucas_rank.rank import factorize, tau
+from lucas_rank.valuation import nu_int
+from lucas_rank.verifier import THEOREM_TABLE, check_delta_negative_fixtures
 from oracles import strong_probable_prime
 
 GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
@@ -101,11 +104,29 @@ class TestMakeParams:
         with pytest.raises(Degenerate):
             make_params(a, b)
 
-    def test_frozen_dataclass(self):
-        p = make_params(1, 1)
+
+# one instance of each of the package's ten record types
+RECORDS = {
+    "LucasParams": lambda: make_params(1, 1),
+    "Factorization": lambda: factorize(12),
+    "TauResult": lambda: tau(make_params(1, 1), 77),
+    "GcdWitness": lambda: gcd_uu(make_params(1, 1), 9, 15),
+    "Valuation": lambda: nu_int(2, 12),
+    "ClosedFormResult": lambda: tau_triple(make_params(1, 1), 5, 3),
+    "Theorem": lambda: THEOREM_TABLE["triple"],
+    "SweepCell": lambda: check_delta_negative_fixtures().cells[0],
+    "SweepSummary": lambda: check_delta_negative_fixtures().summary,
+    "SweepReport": check_delta_negative_fixtures,
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_read_only(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in record._fields:
         with pytest.raises(AttributeError):
-            p.a = 2  # type: ignore[misc]
-        assert isinstance(p, LucasParams)
+            setattr(record, field, None)
 
 
 class TestExactValues:

@@ -15,6 +15,7 @@ from lucas_rank.verifier import (
     PAIR_THEOREMS,
     THEOREM_TABLE,
     THEOREMS,
+    SweepCell,
     _worker_count,
     check_delta_negative_fixtures,
     report_from_dict,
@@ -372,8 +373,13 @@ class TestSerialization:
         assert (back.params, back.theorem, back.summary) == (
             report.params, report.theorem, report.summary)
         assert report_to_dict(back) == report_to_dict(report)
-        report_to_dict(report)["params"]["a"] += 1  # a copy, not the frozen params' own dict
-        assert report.params == back.params
+        assert report_from_dict(report_to_dict(report, include_timings=True)) == report
+        # fresh dicts, not the records' own: the params, each cell's inputs, the coverage
+        d = report_to_dict(report)
+        d["params"]["a"] += 1
+        d["cells"][0]["inputs"]["edited"] = True
+        d["summary"]["branch_coverage"]["edited"] = 1
+        assert report == back
 
     def test_equal_runs_give_equal_bytes(self):
         kwargs = dict(ranges={"m": (3, 6), "n": (3, 6)}, seed=7)
@@ -400,4 +406,4 @@ class TestSerialization:
     def test_csv_timings_column(self):
         report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)})
         out = report_to_csv(report, include_timings=True)
-        assert out.splitlines()[0].endswith(",elapsed_ms")
+        assert out.splitlines()[0].split(",") == ["theorem", "a", "b", *SweepCell._fields]
