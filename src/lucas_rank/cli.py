@@ -19,14 +19,10 @@ from .lucas_core import make_params, u_exact, uv_mod, v_exact
 from .valuation import nu_int, nu_u, nu_v
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        self.exit(64, f"error: {message}\n")
 
 
 def _nonneg(text: str) -> int:
@@ -213,11 +209,11 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         command(top, "tau", lambda ns: rank.tau(_params(ns), ns.m, seed=ns.seed),
                 {"--m": (_positive, None)}, help=text)
     if built("tau-scan", text := "rank of apparition by definitional scan"):
-        p = command(top, "tau-scan", lambda ns: rank.tau_scan(
-            _params(ns), ns.m, ns.cap or 10 * ns.m * ns.m + 10), {"--m": (_positive, None)},
-            help=text)
-        p.add_argument("--cap", type=_positive, default=None,
-                       help="scan limit (default 10*m^2 + 10)")
+        p = command(top, "tau-scan", lambda ns: rank.tau_scan(_params(ns), ns.m, ns.cap),
+                    {"--m": (_positive, None)}, help=text)
+        p.add_argument("--cap", type=_positive, default=2 ** 32,
+                       help="scan limit (default 2^32: at most 2^16 giant steps over "
+                            "the 2^16-entry baby table)")
 
     if formula := group("formula", "closed forms for tau of products"):
         from . import verifier  # with closed_form; no other command loads them
@@ -274,10 +270,7 @@ def _dispatch(argv) -> int:
     try:
         ns = build_parser(command).parse_args(argv)
         return ns.func(ns)
-    except _UsageError as exc:  # from parsing, or a handler's ns.usage_error
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error from parsing or ns.usage_error
         return 0 if not exc.code else int(exc.code)
     except LucasRankError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

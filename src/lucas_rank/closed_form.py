@@ -73,16 +73,11 @@ def tau_vm_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     return ClosedFormResult(2 * lcm * g.value, "2lcm*gcd", ing)
 
 
-def require_odd_prime(p: int) -> None:
-    """Refuse a triple's p unless it is an odd prime."""
-    if p < 3 or not rank.is_prime(p):
-        raise NotOddPrime(f"need an odd prime, got {p}")
-
-
 def tau_triple(params: LucasParams, n: int, p: int) -> ClosedFormResult:
     """tau(U_n * U_{n+p} * U_{n+2p}) for n >= 1 and odd prime p."""
     require_eligible(params)
-    require_odd_prime(p)
+    if p < 3 or not rank.is_prime(p):
+        raise NotOddPrime(f"need an odd prime, got {p}")
     if n < 1:
         raise BadRange(f"need n >= 1, got {n}")
     product = n * (n + p) * (n + 2 * p)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import closed_form, rank
 from .errors import BadRange, NotAMultiple, NotEligible, NotFound
 from .gcd_identities import divides_uu, divides_vu
-from .lucas_core import LucasParams, make_params, require_eligible, u_exact, v_exact
+from .lucas_core import LucasParams, make_params, u_exact, v_exact
 
 
 def _pair_grid(ranges: dict) -> list[dict]:
@@ -130,7 +130,7 @@ def _evaluate_cell(params, theorem, oracle, scan_below, seed, point) -> SweepCel
             got = rank.tau_min_divisor_oracle(params, target, claimed, seed=seed).value
         except NotAMultiple:
             inputs["oracle_note"] = "claimed value is not a multiple of the rank"
-            got = _scan(params, target, min(4 * claimed + 16, _SCAN_HARD_CAP))
+            got = _scan(params, target, _SCAN_HARD_CAP)
         else:
             if got == claimed and claimed < scan_below:
                 inputs["scan_checked"] = True
@@ -214,10 +214,12 @@ def sweep(
             raise BadRange(f"empty range for {key}: {bounds}")
         if key == "p" and len(set(bounds)) < len(bounds):
             raise BadRange(f"repeated prime in p: {bounds}")
-    require_eligible(params)  # every closed form's first check, made before any cell
-    for p in grid.get("p", ()):  # the triple's next one, in tau_triple's order
-        closed_form.require_odd_prime(p)
-    points = THEOREM_TABLE[theorem].grid(grid)
+    th = THEOREM_TABLE[theorem]
+    # the closed form's own refusals, asked at the grid's low corners before any worker starts
+    lows = {key: bounds[0] for key, bounds in grid.items() if key != "p"}
+    for p in grid.get("p", (None,)):
+        th.evaluate(params, {**lows, "p": p})
+    points = th.grid(grid)
     evaluate = partial(_evaluate_cell, params, theorem, oracle, scan_below, seed)
     workers = _worker_count(jobs, len(points))
     if workers > 1:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import lucas_rank.closed_form as closed_form
+import lucas_rank.rank as rank
 import lucas_rank.verifier as verifier
 from lucas_rank.cli import build_parser, run
 from lucas_rank.closed_form import ClosedFormResult
@@ -158,6 +159,24 @@ class TestTau:
         payload = json.loads(out)
         assert payload["value"] == 15
         assert payload["method"] == "linear-scan"
+
+    def test_tau_scan_default_cap_is_2_to_32(self, capsys, monkeypatch):
+        caps = []
+        real = rank.tau_scan
+
+        def recording(params, m, cap):
+            caps.append(cap)
+            return real(params, m, cap)
+
+        monkeypatch.setattr(rank, "tau_scan", recording)
+        assert _run(capsys, "tau-scan", "--m", "10007")[:2] == (0, "10008\n")
+        assert caps == [2 ** 32]
+
+    def test_tau_scan_without_cap_refuses_a_41_bit_rank(self, capsys):
+        # tau(1099511627791) = 1099511627790 is past the default cap, so the search ends
+        code, _, err = _run(capsys, "tau-scan", "--m", "1099511627791")
+        assert code == 1
+        assert "NotFound: no index k <= 4294967296 " in err
 
     def test_tau_scan_cap_exhausted(self, capsys):
         code, _, err = _run(capsys, "tau-scan", "--m", "272", "--cap", "35")

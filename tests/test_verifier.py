@@ -231,16 +231,36 @@ class TestWorkerCount:
         report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, jobs=64)
         assert started == [2] and report.summary.agreed == 1
 
-    @pytest.mark.parametrize("theorem", THEOREMS)
-    def test_ineligible_params_refused_before_the_pool(self, monkeypatch, theorem):
+    @staticmethod
+    def _no_pool(monkeypatch):
         class NoPool:
             def __init__(self, max_workers):
-                raise AssertionError("the pool started before the parameters were checked")
+                raise AssertionError("the pool started before the grid was checked")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_ineligible_params_refused_before_the_pool(self, monkeypatch, theorem):
+        self._no_pool(monkeypatch)
         with pytest.raises(NotEligible):
             sweep(make_params(-1, 2), theorem, jobs=2)
+
+    @pytest.mark.parametrize(
+        "theorem, ranges, message",
+        [
+            ("um-vn", {"m": (1, 5)}, r"^indices must be >= 3, got \(1, 3\)$"),
+            ("um-un", {"n": (2, 5)}, r"^indices must be >= 3, got \(3, 2\)$"),
+            ("vm-vn", {"m": (2, 5), "n": (1, 5)}, r"^indices must be >= 3, got \(2, 1\)$"),
+            ("triple", {"n": (0, 5)}, "^need n >= 1, got 0$"),
+        ],
+    )
+    def test_index_below_the_form_refused_before_the_pool(
+        self, monkeypatch, theorem, ranges, message
+    ):
+        self._no_pool(monkeypatch)
+        with pytest.raises(BadRange, match=message):
+            sweep(FIB, theorem, ranges, jobs=2)
 
 
 class TestDisagreementPath:
@@ -292,10 +312,17 @@ class TestDisagreementPath:
             return ClosedFormResult(1, r.case_label, r.ingredients)
 
         monkeypatch.setattr(closed_form, "tau_um_un", one)
-        # 1 is no multiple of tau(U_21^2) = 21, and the fallback scan stops at 4*1 + 16 = 20
+        # 1 is no multiple of the rank, so the fallback scan runs to the sweep's one bound,
+        # 10^8: tau(U_21^2) = 21 * F_21 = 229866 is found, tau(U_45^2) = 45 * F_45 is not
         report = sweep(FIB, "um-un", {"m": (21, 21), "n": (21, 21)})
         (cell,) = report.cells
         assert "oracle_note" in cell.inputs
+        assert cell.oracle_value == 229866 == real(FIB, 21, 21).value
+        assert not cell.agree
+        report = sweep(FIB, "um-un", {"m": (45, 45), "n": (45, 45)})
+        (cell,) = report.cells
+        assert "oracle_note" in cell.inputs
+        assert real(FIB, 45, 45).value > verifier._SCAN_HARD_CAP
         assert cell.oracle_value is None
         assert not cell.agree
 
