@@ -180,26 +180,29 @@ def nu_in_u(params: LucasParams, p: int, k: int) -> int:
 
 
 # A cap up to this is stepped one index at a time.  Timed with no answer below the cap
-# (nproc = 2, Python 3.11.7), the orbit search overtakes the plain loop near cap 200-400
-# when every y is a unit mod m (primes of 20-62 bits), but near 800-1000 for smooth m,
-# whose points take the general key path.  On the pair sweeps' own scans with caps in
-# (256, 1024], limits of 512 to 1024 take within 6% of each other, and 256 takes 20% more.
-_PLAIN_MAX = 1024
+# (nproc = 2, Python 3.11.7), the orbit search overtakes the plain loop near cap 150-250
+# when every y is a unit mod m (primes of 20-61 bits), but near 950-1150 for smooth m
+# (parts of U_k of 129-163 bits), whose points take the general key path.  On the pair
+# sweeps' own scans with caps in (256, 1024], limits of 384 to 640 take within 3% of each
+# other, while 1024 takes 12-13% more than 512 and 256 takes 7-8% more.
+_PLAIN_MAX = 512
 _BABY_MAX = 2 ** 16  # bounds the baby table; larger caps take more giant steps
-_GIANT_BATCH = 64  # giant points keyed with one inverse
+_GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
 
 
 def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     """Least k <= cap with m | U_k, by definition: no rank theory, no factoring of m.
 
-    A cap up to 1024 is stepped one index at a time.  Above it, the scan
+    A cap up to 512 is stepped one index at a time.  Above it, the scan
     is a baby-step giant-step search for the return time of P_0 = (1 : 0)
     on the projective line over Z/m, where P_k = (U_{k+1} : U_k) and
     M = [[a, b], [1, 0]] takes P_k to P_{k+1}.  M is a bijection there
-    since gcd(b, m) = 1, and m | U_k exactly when P_k = P_0, so the
-    first giant point P_iG equal to a baby point P_j (0 <= j < G) gives
-    the least k = iG - j (see `_orbit_search`).  Every k returned is
-    first confirmed to satisfy m | U_k.
+    since gcd(b, m) = 1, and m | U_k exactly when P_k = P_0.  With G baby
+    points P_0 .. P_{G-1}, each giant point P_iS (stride S = 2G - 1) and
+    its mirror P_{-iS}, the recurrence run backwards, are looked up among
+    them: a match with P_j gives k = iS - j or k = iS + j, and the first
+    giant with a match gives the least k (see `_orbit_search`).  Every k
+    returned is first confirmed to satisfy m | U_k.
 
     Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all),
     BadRange for a cap below 1, and NotFound when the cap is exhausted.
@@ -232,43 +235,71 @@ def _plain_scan(am: int, bm: int, m: int, cap: int) -> int | None:
 def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
     """Least k <= cap with m | U_k, or None (Shanks's baby steps, giant steps).
 
-    Steps U_0 .. U_{G+1} mod m one by one, with the giant stride
-    G = min(ceil(sqrt(cap)), 2^16), answering at a zero in U_1 .. U_G.
-    Past that tau > G, so the baby points P_0 .. P_{G-1} are distinct
-    and keyed to their index.  The giant points P_G, P_2G, ... follow
-    from (x, y) = (U_{n+1}, U_n) by the addition identity
-    U_{n+G} = U_G x + b U_{G-1} y.  A key match P_iG = P_j is accepted
-    only if the cross product U_iG U_{j+1} - U_{iG+1} U_j, which is
-    (-b)^j U_{iG-j}, is 0 mod m, that is, only if m | U_{iG-j}.
+    Steps U_0 .. U_{G+1} mod m one by one, with G = min(ceil(sqrt(cap)), 2^16)
+    baby points, answering at a zero in U_1 .. U_G.  Past that tau > G, so the
+    baby points P_0 .. P_{G-1} are distinct and keyed to their index.  The
+    giant points P_S, P_2S, ... with stride S = 2G - 1 follow from
+    (x, y) = (U_{n+1}, U_n) by the addition identity U_{n+S} = U_S x + b U_{S-1} y.
+    Since gcd(b, m) = 1 the recurrence runs backwards too, and each giant
+    point P_n = (x : y) has a mirror (a y - x : y) = P_{-n}.  A match of P_iS
+    with baby P_j means m | U_{iS-j}, and a match of its mirror means
+    m | U_{iS+j}, so giant i covers the window iS - G + 1 .. iS + G - 1.  The
+    windows tile every k >= G, each side of one holds at most one multiple of
+    tau, and the first window holding a multiple holds tau itself, the smaller
+    of its two candidates.
+
+    A match is accepted only if m | U_k by a cross product: for the point,
+    U_iS U_{j+1} - U_{iS+1} U_j = (-b)^j U_{iS-j}; for the mirror,
+    y U_{j+1} - (a y - x) U_j = U_iS U_{j+1} + b U_{iS-1} U_j = U_{iS+j}.
     """
-    stride = min(math.isqrt(cap - 1) + 1, _BABY_MAX)
+    babies = min(math.isqrt(cap - 1) + 1, _BABY_MAX)  # G
     us = [0, 1 % m]  # U_0 .. U_{G+1} mod m
-    for k in range(1, stride + 1):
+    for k in range(1, babies + 1):
         if us[k] == 0:
             return k
         us.append((am * us[k] + bm * us[k - 1]) % m)
     cofactors: dict[int, int] = {}
-    babies = _keys(list(zip(us[1 : stride + 1], us[:stride])), m, cofactors)
-    index = dict(zip(babies, range(stride)))
-    s11, s12, s21, s22 = us[stride + 1], bm * us[stride] % m, us[stride], bm * us[stride - 1] % m
-    x, y = s11, s21  # P_G
-    giants = (cap + stride - 1) // stride  # P_iG for i past this gives k = iG - j > cap
+    index = dict(zip(_keys(us[1 : babies + 1], us[:babies], m, cofactors), range(babies)))
+    stride = 2 * babies - 1  # S
+    # U_{S-1}, U_S, U_{S+1} from U_{G-2} .. U_{G+1} by the addition identity (at G = 1,
+    # U_{G-1} = 0 makes the U_{G-2} slot, us[-1], irrelevant)
+    u0, u1, u2 = us[babies - 1 : babies + 2]
+    s0 = u0 * (u1 + bm * us[babies - 2]) % m
+    s1, s2 = (u1 * u1 + bm * u0 * u0) % m, u1 * (u2 + bm * u0) % m
+    bs0, bs1 = bm * s0 % m, bm * s1 % m
+    x, y = s2, s1  # P_S
+    giants = (cap - babies + stride) // stride  # windows starting at or below the cap
     for first in range(1, giants + 1, _GIANT_BATCH):
-        batch = []  # P_iG for i = first, first + 1, ...
+        xs, ys = [], []  # P_iS for i = first, first + 1, ...
         for _ in range(min(_GIANT_BATCH, giants + 1 - first)):
-            batch.append((x, y))
-            x, y = (s11 * x + s12 * y) % m, (s21 * x + s22 * y) % m
-        keys = _keys(batch, m, cofactors)
-        for i, (gx, gy), key in zip(range(first, giants + 1), batch, keys):
-            j = index.get(key)
+            xs.append(x)
+            ys.append(y)
+            x, y = (s2 * x + bs1 * y) % m, (s1 * x + bs0 * y) % m
+        keys = _keys(xs, ys, m, cofactors, am)
+        if index.keys().isdisjoint(keys):
+            continue
+        n = len(xs)
+        for t in range(n):
+            gx, gy = xs[t], ys[t]
+            j = index.get(keys[t])
             if j is not None and (gy * us[j + 1] - gx * us[j]) % m == 0:
-                k = i * stride - j
-                return k if k <= cap else None
+                k = (first + t) * stride - j
+            else:
+                j = index.get(keys[n + t])
+                if j is None or (gy * us[j + 1] - (am * gy - gx) * us[j]) % m:
+                    continue
+                k = (first + t) * stride + j
+            return k if k <= cap else None
     return None
 
 
-def _keys(points: list[tuple[int, int]], m: int, cofactors: dict[int, int]) -> list[int]:
+def _keys(xs: list[int], ys: list[int], m: int, cofactors: dict[int, int],
+          a: int | None = None) -> list[int]:
     """One int per point (x : y) of P^1(Z/m), equal exactly when the points are.
+
+    The points come as parallel lists of coordinates.  With `a`, the n keys
+    of the points are followed by the n keys of their mirrors (a y - x : y);
+    the mirror of P_n = (U_{n+1} : U_n) is P_{-n}.
 
     With g = gcd(y, m) and m1 the largest divisor of m prime to g (cached
     per g), w = y + m1*x is a unit mod m: it is y mod m1, where y is a unit,
@@ -279,28 +310,36 @@ def _keys(points: list[tuple[int, int]], m: int, cofactors: dict[int, int]) -> l
 
     Until the search meets a y that is not a unit (the cache of cofactors
     is empty), a batch is first tried as all units: if the product of its
-    nonzero y is a unit, each point is keyed m + x/y mod m straight away,
-    or m*m + 1 for y = 0 (g = m, m1 = 1, w = x), the same int as below.  A
-    batch that fails leaves a cofactor in the cache, so later batches go
-    straight to the general path.
+    nonzero y is a unit, each point is keyed m + r with r = x/y mod m, and
+    its mirror m + (a - r) mod m, or m*m + 1 for y = 0 (g = m, m1 = 1,
+    w = x), the same int as below; (1 : 0) is its own mirror.  A batch that
+    fails leaves a cofactor in the cache, so later batches go straight to
+    the general path, where the mirrors join the batch.
     """
+    n = len(xs)
     if not cofactors:
         prefix, p = [], 1  # prefix[t] = the product of the nonzero y before point t
-        for _, y in points:
+        for y in ys:
             prefix.append(p)
             if y:
                 p = p * y % m
         if math.gcd(p, m) == 1:
             inverse = pow(p, -1, m)
-            keys = [m * m + 1] * len(points)
-            for t in range(len(points) - 1, -1, -1):
-                x, y = points[t]
+            keys = [m * m + 1] * (n if a is None else 2 * n)
+            for t in range(n - 1, -1, -1):
+                y = ys[t]
                 if y:
-                    keys[t] = m + x * inverse * prefix[t] % m
+                    r = xs[t] * inverse * prefix[t] % m
+                    keys[t] = m + r
+                    if a is not None:
+                        keys[n + t] = m + (a - r) % m
                     inverse = inverse * y % m
             return keys
+    if a is not None:
+        xs = xs + [(a * y - x) % m for x, y in zip(xs, ys)]
+        ys = ys + ys
     ws, gs, prefix = [], [], [1]
-    for x, y in points:
+    for x, y in zip(xs, ys):
         g = math.gcd(y, m)
         m1 = cofactors.get(g)
         if m1 is None:
@@ -313,9 +352,9 @@ def _keys(points: list[tuple[int, int]], m: int, cofactors: dict[int, int]) -> l
         gs.append(g)
         prefix.append(prefix[-1] * w % m)
     inverse = pow(prefix[-1], -1, m)  # 1 / (w_0 ... w_{n-1})
-    keys = [0] * len(points)
-    for t in range(len(points) - 1, -1, -1):
-        keys[t] = gs[t] * m + points[t][0] * inverse * prefix[t] % m
+    keys = [0] * len(xs)
+    for t in range(len(xs) - 1, -1, -1):
+        keys[t] = gs[t] * m + xs[t] * inverse * prefix[t] % m
         inverse = inverse * ws[t] % m
     return keys
 

@@ -252,12 +252,17 @@ def _outcome(fn, params, m, cap):
         return type(exc)
 
 
+def _coords(points):
+    """The parallel coordinate lists that `rank._keys` takes, from (x, y) pairs."""
+    return [x for x, _ in points], [y for _, y in points]
+
+
 def _general_keys(points, m):
     """`rank._keys` on its general path: a non-empty cache skips the all-units attempt.
 
     The entry is the true cofactor m1 = 1 for g = m, so it cannot change a key.
     """
-    return rank._keys(points, m, {m: 1})
+    return rank._keys(*_coords(points), m, {m: 1})
 
 
 def _smooth_part(k):
@@ -294,7 +299,7 @@ class TestWalkContract:
         for m in (1, 2, 8, 25, 97, 10_007, 60_042):
             if math.gcd(m, b) != 1:
                 continue  # the walks leave this refusal to tau_scan
-            for cap in [*range(1, 301), 1023, 1024]:
+            for cap in [*range(1, 301), 511, 512, 513, 1023, 1024]:
                 try:
                     want = _reference_scan(params, m, cap).value
                 except NotFound:
@@ -348,18 +353,29 @@ def _moduli(draw, params):
     return m
 
 
-def _giant_edge_caps(t):
-    """Caps G^2 whose orbit search meets the answer t as iG - j with j = 0 and with j = G - 1.
+def _window_caps(t):
+    """Caps G^2 that put the answer t at each kind of place in its orbit-search window.
 
-    G = ceil(sqrt(cap)) baby steps; the least G that works is taken, so the
-    answer is as many giant steps out as it can be.
+    G = ceil(sqrt(cap)) baby points and stride S = 2G - 1: giant i covers
+    iS - G + 1 .. iS + G - 1, t = iS - j on its direct side and t = iS + j on
+    its mirror side (0 <= j < G).  For each place, the least G above the plain
+    loop's limit that puts t there is taken, so t is as many giants out as it can be.
     """
-    caps = set()
-    for n in (t, t - 1):  # G | t gives j = 0, G | t - 1 gives j = G - 1
-        for g in range(max(33, math.isqrt(t - 1) + 1), min(t - 1, 2**16) + 1):
-            if n % g == 0:
-                caps.add(g * g)
-                break
+    caps = {}
+    for g in range(max(math.isqrt(rank._PLAIN_MAX) + 1, math.isqrt(t - 1) + 1),
+                   min(t - 1, 2**16) + 1):
+        r = t % (2 * g - 1)
+        if r == 0:
+            place = "j = 0"
+        elif r < g - 1:
+            place = "mirror side"
+        elif r == g - 1:
+            place = "mirror edge"  # j = G - 1, the window's last index
+        elif r == g:
+            place = "direct edge"  # j = G - 1, the window's first index
+        else:
+            place = "direct side"
+        caps.setdefault(place, g * g)
     return caps
 
 
@@ -375,13 +391,14 @@ class TestBlockScan:
             answer = _reference_scan(params, m, _REACH).value
         except (NotCoprimeToB, NotFound):
             answer = None
-        # caps up to 1024 step one index at a time; above, G = ceil(sqrt(cap)) baby
-        # steps, so G^2 -> G^2 + 1 adds a baby: 1024 -> 1025 (32 -> 33), 1089 -> 1090,
-        # 1600 -> 1601
-        caps = {1, 1023, 1024, 1025, 1088, 1089, 1090, 1599, 1600, 1601}
+        # caps up to 512 step one index at a time; above, G = ceil(sqrt(cap)) baby
+        # steps, so G^2 -> G^2 + 1 adds a baby: 529 -> 530 (23 -> 24), 1024 -> 1025,
+        # 1089 -> 1090, 1600 -> 1601
+        caps = {1, 511, 512, 513, 529, 530, 1023, 1024, 1025, 1088, 1089, 1090, 1599, 1600,
+                1601}
         caps.add(data.draw(st.integers(0, _REACH)))
         if answer is not None:
-            caps |= {answer - 1, answer, answer + 1} | _giant_edge_caps(answer)
+            caps |= {answer - 1, answer, answer + 1} | set(_window_caps(answer).values())
         for cap in sorted(caps):
             assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
 
@@ -390,7 +407,7 @@ class TestBlockScan:
         [
             (1, 1, 16_776_623, 250_000),  # 24-bit prime, answer 202128, G = 500
             (3, -1, 199_999, 120_000),  # answer 99999, G = 347
-            (1, 1, 2**17, 200_000),  # answer 196608, G = 448
+            (1, 1, 2**17, 200_000),  # answer 98304, G = 448
             (1, 1, 3**11 * 17 * 19 * 53, 250_000),  # answer 236196
             (1, 1, 2**40, 100_000),  # no answer below the cap
             (1, -3, 2**10 * 10_007 * 10_009, 200_000),  # y = U_j even for every third j
@@ -400,26 +417,36 @@ class TestBlockScan:
         params = make_params(a, b)
         assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
 
+    _EVERY_PLACE = {"j = 0", "direct side", "direct edge", "mirror side", "mirror edge"}
+
     @pytest.mark.parametrize(
-        "a,b,m",
+        "a,b,m,places",
         [
-            (1, 1, 16_776_623),  # 202128 = 48 * 4211: j = 0 at G = 4211
-            (3, -1, 199_999),  # 99999 = 271 * 369 = 3 * 49999 - 49998
-            (1, 1, 2**17),  # 196608 = 384 * 512 = 422 * 467 - 466
-            (1, 1, 2**10 * 3**4 * 5**2 * 7),  # 172800 = 400 * 432 = 254 * 683 - 682
+            pytest.param(1, 1, 16_776_623, _EVERY_PLACE, id="1-1-16776623"),  # prime, 202128
+            pytest.param(3, -1, 199_999, _EVERY_PLACE - {"mirror edge"}, id="3--1-199999"),
+            # tau(2^k) = 3 * 2^e has no odd divisor 2G - 1 > 3, so never j = 0
+            pytest.param(1, 1, 2**17, {"direct side", "mirror side", "mirror edge"},
+                         id="1-1-131072"),
+            pytest.param(1, 1, 2**18, _EVERY_PLACE - {"j = 0"}, id="1-1-262144"),
+            pytest.param(1, 1, 2**10 * 3**4 * 5**2 * 7, {"direct side", "mirror side"},
+                         id="1-1-14515200"),
+            pytest.param(1, 1, 2**4 * 3**4 * 5**2 * 7 * 11 * 13, _EVERY_PLACE,
+                         id="1-1-32432400"),  # smooth, 37800
         ],
     )
-    def test_answer_at_giant_edges(self, a, b, m):
+    def test_answer_at_giant_edges(self, a, b, m, places):
+        # the answer on each side of a window, at j = 0 and at both ends (j = G - 1)
         params = make_params(a, b)
         answer = _reference_scan(params, m, 250_000).value
-        caps = _giant_edge_caps(answer)
-        assert caps
-        for cap in caps | {answer - 1, answer}:
+        caps = _window_caps(answer)
+        assert set(caps) == places
+        for cap in {*caps.values(), answer - 1, answer}:
             assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
 
     def test_baby_table_bound_above_2_32(self):
         # p = 1000003 = 3 mod 5, so the rank divides p + 1, and it is p + 1; a cap
-        # above 2^32 wants more than 2^16 babies, so the search takes 2^16 and 16 giants
+        # above 2^32 wants more than 2^16 babies, so the search takes 2^16 and finds
+        # the answer at giant 8 (S = 2^17 - 1)
         params = make_params(1, 1)
         p = 1_000_003
         assert tau_scan(params, p, 2**32 + 1) == _reference_scan(params, p, 2**32 + 1)
@@ -440,7 +467,7 @@ class TestBlockScan:
         # every unimodular (x, y) mod m, keyed, against its class under the units of Z/m
         units = [u for u in range(1, m) if math.gcd(u, m) == 1]
         vectors = [(x, y) for x in range(m) for y in range(m) if math.gcd(x, y, m) == 1]
-        keys = rank._keys(vectors, m, {})
+        keys = rank._keys(*_coords(vectors), m, {})
         points = [min((u * x % m, u * y % m) for u in units) for x, y in vectors]
         assert len(set(zip(keys, points))) == len(set(keys)) == len(set(points))
 
@@ -455,9 +482,31 @@ class TestBlockScan:
         zero = (points[0][1], 0)  # (unit : 0) is the point (1 : 0)
         for batch in (points, [zero] + points, points[:100] + [zero] + points[100:130], [zero]):
             cofactors = {}
-            keys = rank._keys(batch, m, cofactors)
+            keys = rank._keys(*_coords(batch), m, cofactors)
             assert not cofactors  # keyed by the unit path, which caches nothing
             assert keys == _general_keys(batch, m)
+
+    @pytest.mark.parametrize("m", [10**6 + 3, 2**61 - 1, 3**5 * 7**3 * 101, 2**64,
+                                   2 * (10**6 + 3)])
+    def test_mirror_keys_are_the_keys_of_the_mirrored_points(self, m):
+        rng = random.Random(m)
+        a = rng.randrange(m)
+        units = []
+        while len(units) < 100:
+            x, y = rng.randrange(m), rng.randrange(1, m)
+            if math.gcd(y, m) == 1:
+                units.append((x, y))
+        batches = [units, units[:40] + [(units[0][1], 0)] + units[40:], [(1, 0)]]
+        if not is_prime(m):  # a y that is not a unit, and with it a y = 0
+            q = next(p for p in rank._SMALL_PRIMES if m % p == 0)
+            batches.append(units[:30] + [(1, m // q), (5, 0)] + units[30:])
+        for batch in batches:
+            n = len(batch)
+            mirrors = [((a * y - x) % m, y) for x, y in batch]
+            for cofactors in ({}, {m: 1}):  # the unit attempt first, and the general path
+                keys = rank._keys(*_coords(batch), m, cofactors, a)
+                assert keys[:n] == _general_keys(batch, m)
+                assert keys[n:] == _general_keys(mirrors, m)
 
     @pytest.mark.parametrize("m", [2**64, 3**5 * 7**3 * 101, 2 * (10**6 + 3)])
     @pytest.mark.parametrize("at", [0, 63, 64, 200])
@@ -472,7 +521,7 @@ class TestBlockScan:
         points[at // 2 + 1] = (1, 0)
         for batch in (points, points[: at + 2]):  # a long batch, and one ending near the non-unit
             cofactors = {}
-            assert rank._keys(batch, m, cofactors) == _general_keys(batch, m)
+            assert rank._keys(*_coords(batch), m, cofactors) == _general_keys(batch, m)
             assert cofactors  # the general path ran, so later batches skip the unit attempt
 
     @pytest.mark.parametrize("m", [
@@ -500,7 +549,7 @@ class TestBlockScan:
             while math.gcd(u := rng.randrange(1, m), m) > 1:
                 pass
             scaled.append((u * x % m, u * y % m))
-        for keyed in (lambda batch: [rank._keys([p], m, {})[0] for p in batch],
+        for keyed in (lambda batch: [rank._keys([x], [y], m, {})[0] for x, y in batch],
                       lambda batch: _general_keys(batch, m)):
             keys = keyed(points)
             assert len(set(keys[:n])) == n
@@ -509,19 +558,37 @@ class TestBlockScan:
                 assert keys[t] == keys[0]
 
     def test_confirmation_guards_every_answer(self, monkeypatch):
-        # every point gets the same key, so each giant point "matches" the last baby;
-        # only the cross-product check stands between that and a wrong k.  `_keys` holds
-        # both the unit path and the general path, so this forces a match through each
-        monkeypatch.setattr(rank, "_keys", lambda points, m, cofactors: [0] * len(points))
+        # every baby gets key 0, so the table holds only j = G - 1, and each giant point
+        # and its mirror "match" it, or with direct key 1 (no baby's) only the mirror does;
+        # only the cross products stand between that and a wrong k.  The real `_keys` runs
+        # first, so prime targets keep the unit path and composite ones the general path
+        real = rank._keys
+
+        def constant_keys(direct):
+            def keys(xs, ys, m, cofactors, a=None):
+                real(xs, ys, m, cofactors, a)
+                return [0] * len(xs) if a is None else [direct] * len(xs) + [0] * len(xs)
+            return keys
+
         cases = [((1, 1), 16_776_623, 250_000), ((1, 1), 2**17, 200_000), ((3, -1), 199_999, 5000),
                  ((1, -3), 2**10 * 10_007 * 10_009, 200_000), ((2, 1), 10**6 + 3, 3000)]
-        for ab, m, cap in cases:
-            params = make_params(*ab)
-            try:
-                k = tau_scan(params, m, cap).value
-            except NotFound:
-                continue
-            assert 1 <= k <= cap and uv_mod(params, k, m)[0] == 0
+        edges = []  # an answer at a window's last index (mirror) or first index (direct)
+        for ab, m in [((1, 1), 16_776_623), ((1, 1), 2**4 * 3**4 * 5**2 * 7 * 11 * 13)]:
+            t = _reference_scan(make_params(*ab), m, 250_000).value
+            edges.append((ab, m, _window_caps(t), t))
+        for direct in (0, 1):
+            monkeypatch.setattr(rank, "_keys", constant_keys(direct))
+            for ab, m, cap in cases:
+                params = make_params(*ab)
+                try:
+                    k = tau_scan(params, m, cap).value
+                except NotFound:
+                    continue
+                assert 1 <= k <= cap and uv_mod(params, k, m)[0] == 0
+            for ab, m, caps, t in edges:
+                assert tau_scan(make_params(*ab), m, caps["mirror edge"]).value == t
+                if direct == 0:
+                    assert tau_scan(make_params(*ab), m, caps["direct edge"]).value == t
 
     @pytest.mark.parametrize("a,b", [(1, 1), (3, -1)])
     def test_no_small_factor_steps_to_the_answer(self, a, b):
@@ -538,10 +605,42 @@ class TestBlockScan:
         params = make_params(1, 1)
         m = u_exact(params, 289)  # 200 bits
         assert m.bit_length() == 200
-        assert tau_scan(params, m, 2000).value == 289  # G = 45: found at i = 7, j = 26
+        assert tau_scan(params, m, 2000).value == 289  # G = 45, S = 89: i = 3, mirror j = 22
         assert tau_scan(params, m, 289).value == 289
         with pytest.raises(NotFound):
             tau_scan(params, m, 288)
+
+
+@pytest.mark.slow
+def test_orbit_search_equals_the_reference_scan_on_random_moduli():
+    # about 5 s: one reference scan per draw decides every cap up to its reach
+    rng = random.Random(20)
+    reach = 30_000
+    for _ in range(1000):
+        a, b = rng.randint(-30, 30), rng.randint(-30, 30)
+        kind = rng.randrange(3)
+        if kind == 0:  # a prime: every point takes the unit key path
+            m = rng.randrange(1000, 200_000) | 1
+            while not is_prime(m):
+                m += 2
+        elif kind == 1:  # any m below 10^12, nearly always composite
+            m = rng.randrange(2, 10**12)
+        else:  # smooth: many points take the general key path
+            m = math.prod(rng.choice(_SMOOTH_PRIMES[:8]) for _ in range(rng.randrange(2, 12)))
+        try:
+            params = make_params(a, b)
+            answer = _reference_scan(params, m, reach).value
+        except NotFound:
+            answer = None
+        except LucasRankError:
+            continue
+        caps = {rng.randrange(1, reach + 1), rng.randrange(rank._PLAIN_MAX, reach + 1)}
+        if answer is not None:
+            caps |= {c for c in (answer - 1, answer, answer + 1) if 1 <= c <= reach}
+        for cap in caps:
+            found = answer is not None and answer <= cap
+            want = TauResult(answer, "linear-scan") if found else NotFound
+            assert _outcome(tau_scan, params, m, cap) == want, (a, b, m, cap)
 
 
 def _check_tau_against_scan(seed, low, high, count):
