@@ -130,6 +130,9 @@ def _cmd_verify_sweep(ns):
                            f"not allowed with --theorem {ns.theorem}")
     if ns.scan_below is not None and ns.oracle == "scan":
         ns.usage_error("argument --scan-below: not allowed with --oracle scan")
+    if ns.scan_below is not None and ns.scan_below > verifier._SCAN_HARD_CAP:
+        ns.usage_error(f"argument --scan-below: must be at most {verifier._SCAN_HARD_CAP}, "
+                       f"got {ns.scan_below}")
     given = {"m": (ns.m_min, ns.m_max), "n": (ns.n_min, ns.n_max), "p": ns.primes}
     return verifier.sweep(
         _params(ns),

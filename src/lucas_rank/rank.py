@@ -15,7 +15,7 @@ import random
 from typing import NamedTuple
 
 from .errors import BadRange, NotAMultiple, NotCoprimeToB, NotFound, NotPrime, TooLarge
-from .lucas_core import LucasParams, nu, uv_mod
+from .lucas_core import LucasParams, nu, nu2, uv_mod
 
 FACTOR_BOUND = 2 ** 96
 _TRIAL_LIMIT = 10_000
@@ -57,7 +57,7 @@ _MR_PSI = ((1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_7
 
 def _is_sprp(n: int, bases: tuple[int, ...]) -> bool:
     """Whether odd n > every base is a strong probable prime to each base."""
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r * d with d odd
+    r = nu2(n - 1)  # n - 1 = 2^r * d with d odd
     d = (n - 1) >> r
     for a in bases:
         x = pow(a, d, n)
@@ -191,18 +191,12 @@ _GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
 
 
 def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
-    """Least k <= cap with m | U_k, by definition: no rank theory, no factoring of m.
+    """Least k <= cap with m | U_k, by definition.
 
-    A cap up to 512 is stepped one index at a time.  Above it, the scan
-    is a baby-step giant-step search for the return time of P_0 = (1 : 0)
-    on the projective line over Z/m, where P_k = (U_{k+1} : U_k) and
-    M = [[a, b], [1, 0]] takes P_k to P_{k+1}.  M is a bijection there
-    since gcd(b, m) = 1, and m | U_k exactly when P_k = P_0.  With G baby
-    points P_0 .. P_{G-1}, each giant point P_iS (stride S = 2G - 1) and
-    its mirror P_{-iS}, the recurrence run backwards, are looked up among
-    them: a match with P_j gives k = iS - j or k = iS + j, and the first
-    giant with a match gives the least k (see `_orbit_search`).  Every k
-    returned is first confirmed to satisfy m | U_k.
+    A cap up to 512 is stepped one index at a time (`_plain_scan`); a larger
+    cap goes to Shanks's baby steps, giant steps (`_orbit_search`).  Neither
+    uses rank theory, a factoring of m or `uv_mod`, and every k returned is
+    confirmed to satisfy m | U_k.
 
     Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all),
     BadRange for a cap below 1, and NotFound when the cap is exhausted.
@@ -235,18 +229,21 @@ def _plain_scan(am: int, bm: int, m: int, cap: int) -> int | None:
 def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
     """Least k <= cap with m | U_k, or None (Shanks's baby steps, giant steps).
 
-    Steps U_0 .. U_{G+1} mod m one by one, with G = min(ceil(sqrt(cap)), 2^16)
-    baby points, answering at a zero in U_1 .. U_G.  Past that tau > G, so the
-    baby points P_0 .. P_{G-1} are distinct and keyed to their index.  The
-    giant points P_S, P_2S, ... with stride S = 2G - 1 follow from
-    (x, y) = (U_{n+1}, U_n) by the addition identity U_{n+S} = U_S x + b U_{S-1} y.
-    Since gcd(b, m) = 1 the recurrence runs backwards too, and each giant
-    point P_n = (x : y) has a mirror (a y - x : y) = P_{-n}.  A match of P_iS
-    with baby P_j means m | U_{iS-j}, and a match of its mirror means
-    m | U_{iS+j}, so giant i covers the window iS - G + 1 .. iS + G - 1.  The
-    windows tile every k >= G, each side of one holds at most one multiple of
-    tau, and the first window holding a multiple holds tau itself, the smaller
-    of its two candidates.
+    M = [[a, b], [1, 0]] takes P_k = (U_{k+1} : U_k) to P_{k+1} on the
+    projective line over Z/m, bijectively since gcd(b, m) = 1, and m | U_k
+    exactly when P_k = P_0 = (1 : 0).  Steps U_0 .. U_{G+1} mod m one by one,
+    with G = min(ceil(sqrt(cap)), 2^16) baby points, answering at a zero in
+    U_1 .. U_G.  Past that tau > G, so the baby points P_0 .. P_{G-1} are
+    distinct and keyed to their index.  The giant points P_S, P_2S, ... with
+    stride S = 2G - 1 follow from (x, y) = (U_{n+1}, U_n) by the addition
+    identity U_{n+S} = U_S x + b U_{S-1} y, with U_S and U_{S+1} from
+    U_{G-1} .. U_{G+1} by the same identity and b U_{S-1} = U_{S+1} - a U_S.
+    Run backwards, the recurrence gives each P_n = (x : y) a mirror
+    (a y - x : y) = P_{-n}.  A match of P_iS with baby P_j means m | U_{iS-j},
+    and a match of its mirror means m | U_{iS+j}, so giant i covers the window
+    iS - G + 1 .. iS + G - 1.  The windows tile every k >= G, each side of one
+    holds at most one multiple of tau, and the first window holding a multiple
+    holds tau itself, the smaller of its two candidates.
 
     A match is accepted only if m | U_k by a cross product: for the point,
     U_iS U_{j+1} - U_{iS+1} U_j = (-b)^j U_{iS-j}; for the mirror,
@@ -261,12 +258,10 @@ def _orbit_search(am: int, bm: int, m: int, cap: int) -> int | None:
     cofactors: dict[int, int] = {}
     index = dict(zip(_keys(us[1 : babies + 1], us[:babies], m, cofactors), range(babies)))
     stride = 2 * babies - 1  # S
-    # U_{S-1}, U_S, U_{S+1} from U_{G-2} .. U_{G+1} by the addition identity (at G = 1,
-    # U_{G-1} = 0 makes the U_{G-2} slot, us[-1], irrelevant)
+    # U_S and U_{S+1}, then b U_{S-1} and b U_S, from U_{G-1} .. U_{G+1}
     u0, u1, u2 = us[babies - 1 : babies + 2]
-    s0 = u0 * (u1 + bm * us[babies - 2]) % m
     s1, s2 = (u1 * u1 + bm * u0 * u0) % m, u1 * (u2 + bm * u0) % m
-    bs0, bs1 = bm * s0 % m, bm * s1 % m
+    bs0, bs1 = (s2 - am * s1) % m, bm * s1 % m
     x, y = s2, s1  # P_S
     giants = (cap - babies + stride) // stride  # windows starting at or below the cap
     for first in range(1, giants + 1, _GIANT_BATCH):
@@ -298,8 +293,7 @@ def _keys(xs: list[int], ys: list[int], m: int, cofactors: dict[int, int],
     """One int per point (x : y) of P^1(Z/m), equal exactly when the points are.
 
     The points come as parallel lists of coordinates.  With `a`, the n keys
-    of the points are followed by the n keys of their mirrors (a y - x : y);
-    the mirror of P_n = (U_{n+1} : U_n) is P_{-n}.
+    of the points are followed by those of their mirrors (see `_orbit_search`).
 
     With g = gcd(y, m) and m1 the largest divisor of m prime to g (cached
     per g), w = y + m1*x is a unit mod m: it is y mod m1, where y is a unit,

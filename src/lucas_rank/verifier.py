@@ -85,7 +85,7 @@ ORACLES = ("divisor-minimality", "scan")
 
 # Closed-form values below this get the extra definitional scan.
 DEFAULT_SCAN_BELOW = 10 ** 7
-_SCAN_HARD_CAP = 10 ** 8
+_SCAN_HARD_CAP = 10 ** 8  # the cap of every scan a sweep makes, so of scan_below too
 
 
 class SweepCell(NamedTuple):
@@ -183,10 +183,10 @@ def sweep(
     int pairs ({"m": (3, 20), "n": (3, 20)}; the triple's {"n": (1, 60)})
     and a tuple of primes ({"p": (3, 5, 7)}); a key or a bound given as
     None keeps its default, and any other shape or key is refused.
-    `scan_below` (default 10^7) applies to the divisor-minimality oracle
-    only.  Cells are independent, so jobs > 1 evaluates them in worker
-    processes, at most one per CPU and per cell; the report keeps
-    deterministic input order either way.
+    `scan_below` (default 10^7, at most the 10^8 cap of every sweep scan)
+    applies to the divisor-minimality oracle only.  Cells are independent,
+    so jobs > 1 evaluates them in worker processes, at most one per CPU and
+    per cell; the report keeps deterministic input order either way.
     """
     if theorem not in THEOREM_TABLE:
         raise BadRange(f"unknown theorem tag: {theorem}")
@@ -198,6 +198,8 @@ def sweep(
         scan_below = DEFAULT_SCAN_BELOW
     elif oracle == "scan":
         raise BadRange("scan_below applies only to the divisor-minimality oracle")
+    elif scan_below > _SCAN_HARD_CAP:
+        raise BadRange(f"need scan_below <= {_SCAN_HARD_CAP}, got {scan_below}")
     grid = dict(THEOREM_TABLE[theorem].defaults)
     for key, given in (ranges or {}).items():
         if key not in grid:

@@ -317,6 +317,20 @@ class TestVerify:
         assert lines[0].startswith("usage: lucas-rank verify sweep ")
         assert lines[-1] == "error: argument --scan-below: not allowed with --oracle scan"
 
+    def test_sweep_refuses_scan_below_past_the_scan_cap(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran with --scan-below above the scan cap")
+
+        monkeypatch.setattr(verifier, "sweep", no_sweep)
+        code, out, err = _run(capsys, "verify", "sweep", "--theorem", "um-un", "--m-max", "3",
+                              "--n-max", "3", "--scan-below", "100000001")
+        assert (code, out) == (64, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: lucas-rank verify sweep ")
+        assert [line for line in lines if line.startswith("error:")] == [
+            "error: argument --scan-below: must be at most 100000000, got 100000001"]
+        assert lines[-1].startswith("error:")
+
     def test_sweep_inverted_range_is_domain_error(self, capsys):
         code, out, err = _run(
             capsys, "verify", "sweep", "--theorem", "um-vn", "--m-min", "10", "--m-max", "3",

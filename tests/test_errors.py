@@ -65,6 +65,8 @@ BAD_CALLS = {
     "sweep-three-bounds": (lambda: sweep(FIB, "um-un", {"m": (3, 4, 9), "n": (3, 3)}), ()),
     "sweep-scan-below-with-scan-oracle": (
         lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, oracle="scan", scan_below=0), ()),
+    "sweep-scan-below-past-scan-cap": (
+        lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, scan_below=10**8 + 1), ()),
     "sweep-jobs-0": (lambda: sweep(FIB, "um-un", jobs=0), ()),
     "sweep-jobs-minus-3": (lambda: sweep(FIB, "um-un", jobs=-3), ()),
     "report_from_dict-empty": (report_from_dict, ({},)),
@@ -86,6 +88,7 @@ def test_bad_argument_raises_lucas_rank_error(name):
     [
         ("tau_scan-cap-0", "need cap >= 1, got 0"),
         ("tau_scan-cap-minus-1", "need cap >= 1, got -1"),
+        ("sweep-scan-below-past-scan-cap", "need scan_below <= 100000000, got 100000001"),
         ("sweep-jobs-0", "need jobs >= 1, got 0"),
         ("sweep-jobs-minus-3", "need jobs >= 1, got -3"),
         ("report_from_dict-empty", "malformed report: KeyError: 'params'"),

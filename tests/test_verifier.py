@@ -154,6 +154,16 @@ class TestSweep:
         with pytest.raises(BadRange, match=f"^malformed range for {key}: "):
             sweep(FIB, theorem, ranges)
 
+    def test_scan_below_past_the_scan_cap_refused_before_any_cell(self, monkeypatch):
+        # the extra scan runs to the claimed rank, so scan_below bounds it like the other scans
+        cap = verifier._SCAN_HARD_CAP
+        monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
+        with pytest.raises(BadRange, match=f"^need scan_below <= {cap}, got {cap + 1}$"):
+            sweep(make_params(3, 1), "um-un", {"m": (30, 30), "n": (30, 30)}, scan_below=cap + 1)
+        monkeypatch.undo()
+        report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, scan_below=cap)
+        assert report.summary.agreed == 1 and report.cells[0].inputs["scan_checked"]
+
     @pytest.mark.parametrize("primes", [(3, 9), (3, 1)])
     def test_bad_prime_refused_before_any_cell(self, monkeypatch, primes):
         monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
