@@ -8,6 +8,7 @@ closed-form value is small enough additionally get the definitional scan,
 so the two routes stay independent.
 """
 
+import itertools
 import json
 import os
 import time
@@ -22,28 +23,13 @@ from .gcd_identities import divides_uu, divides_vu
 from .lucas_core import LucasParams, make_params, u_exact, v_exact
 
 
-def _pair_grid(ranges: dict) -> list[dict]:
-    (m_lo, m_hi), (n_lo, n_hi) = ranges["m"], ranges["n"]
-    return [
-        {"m": m, "n": n}
-        for m in range(m_lo, m_hi + 1)
-        for n in range(n_lo, n_hi + 1)
-    ]
-
-
-def _triple_grid(ranges: dict) -> list[dict]:
-    n_lo, n_hi = ranges["n"]
-    return [{"n": n, "p": p} for p in ranges["p"] for n in range(n_lo, n_hi + 1)]
-
-
 class Theorem(NamedTuple):
     """One product closed form: how to evaluate it, recompute it and sweep it."""
 
     closed_form: str  # function name in `closed_form`, looked up on each call
     keys: tuple[str, ...]  # point keys in argument order; also the CLI flags
     exact_product: Callable[..., int]  # (params, *keys) -> the product, exactly
-    grid: Callable[[dict], list[dict]]
-    defaults: dict
+    defaults: dict  # (low, high) per key, p's primes listed; in loop order, outermost first
     labels: frozenset
 
     def evaluate(self, params: LucasParams, point: dict):
@@ -62,25 +48,25 @@ _PAIR_DEFAULTS = {"m": (3, 20), "n": (3, 20)}
 THEOREM_TABLE = {
     "um-vn": Theorem(
         "tau_um_vn", ("m", "n"), lambda P, m, n: u_exact(P, m) * v_exact(P, n),
-        _pair_grid, _PAIR_DEFAULTS, frozenset({"2lcm", "lcm*V_d"}),
+        _PAIR_DEFAULTS, frozenset({"2lcm", "lcm*V_d"}),
     ),
     "um-un": Theorem(
         "tau_um_un", ("m", "n"), lambda P, m, n: u_exact(P, m) * u_exact(P, n),
-        _pair_grid, _PAIR_DEFAULTS, frozenset({"lcm*U_d"}),
+        _PAIR_DEFAULTS, frozenset({"lcm*U_d"}),
     ),
     "vm-vn": Theorem(
         "tau_vm_vn", ("m", "n"), lambda P, m, n: v_exact(P, m) * v_exact(P, n),
-        _pair_grid, _PAIR_DEFAULTS, frozenset({"lcm*gcd", "2lcm*gcd"}),
+        _PAIR_DEFAULTS, frozenset({"lcm*gcd", "2lcm*gcd"}),
     ),
     "triple": Theorem(
         "tau_triple", ("n", "p"),
         lambda P, n, p: u_exact(P, n) * u_exact(P, n + p) * u_exact(P, n + 2 * p),
-        _triple_grid, {"n": (1, 60), "p": (3, 5, 7)},
+        {"p": (3, 5, 7), "n": (1, 60)},
         frozenset({"p!|n,2!|n", "p!|n,2|n", "p|n,2!|n", "p|n,2|n"}),
     ),
 }
 THEOREMS = tuple(THEOREM_TABLE)
-PAIR_THEOREMS = tuple(t for t, th in THEOREM_TABLE.items() if th.grid is _pair_grid)
+PAIR_THEOREMS = tuple(t for t, th in THEOREM_TABLE.items() if th.keys == ("m", "n"))
 ORACLES = ("divisor-minimality", "scan")
 
 # Closed-form values below this get the extra definitional scan.
@@ -179,10 +165,12 @@ def sweep(
 ) -> SweepReport:
     """Check one closed form over a grid; see module docstring.
 
-    `ranges` overrides the theorem's defaults key by key with (low, high)
-    int pairs ({"m": (3, 20), "n": (3, 20)}; the triple's {"n": (1, 60)})
-    and a tuple of primes ({"p": (3, 5, 7)}); a key or a bound given as
-    None keeps its default, and any other shape or key is refused.
+    `ranges`, a dict or None, overrides the theorem's defaults key by key
+    with (low, high) int pairs ({"m": (3, 20), "n": (3, 20)}; the triple's
+    {"n": (1, 60)}) and a tuple of primes ({"p": (3, 5, 7)}); a key or a
+    bound given as None keeps its default, and any other shape or key is
+    refused.  The loops nest in the order of the theorem's defaults,
+    outermost first; listed primes keep their given order.
     `scan_below` (default 10^7, at most the 10^8 cap of every sweep scan)
     applies to the divisor-minimality oracle only.  Cells are independent,
     so jobs > 1 evaluates them in worker processes, at most one per CPU and
@@ -200,8 +188,13 @@ def sweep(
         raise BadRange("scan_below applies only to the divisor-minimality oracle")
     elif scan_below > _SCAN_HARD_CAP:
         raise BadRange(f"need scan_below <= {_SCAN_HARD_CAP}, got {scan_below}")
-    grid = dict(THEOREM_TABLE[theorem].defaults)
-    for key, given in (ranges or {}).items():
+    th = THEOREM_TABLE[theorem]
+    if ranges is None:
+        ranges = {}
+    elif not isinstance(ranges, dict):
+        raise BadRange(f"malformed ranges: {ranges!r}")
+    grid = dict(th.defaults)
+    for key, given in ranges.items():
         if key not in grid:
             raise BadRange(f"theorem {theorem} takes no range for {key}")
         given = grid[key] if given is None else given  # None keeps the default
@@ -211,17 +204,19 @@ def sweep(
             raise BadRange(f"malformed range for {key}: {given!r}")
         grid[key] = given if listed else tuple(
             d if g is None else g for g, d in zip(given, grid[key]))
-    for key, bounds in grid.items():
-        if not bounds or (key != "p" and bounds[0] > bounds[1]):
-            raise BadRange(f"empty range for {key}: {bounds}")
-        if key == "p" and len(set(bounds)) < len(bounds):
-            raise BadRange(f"repeated prime in p: {bounds}")
-    th = THEOREM_TABLE[theorem]
+    for key in th.keys:  # checked in argument order; each key becomes its values in place
+        given = grid[key]
+        grid[key] = given if key == "p" else range(given[0], given[1] + 1)
+        if not grid[key]:
+            raise BadRange(f"empty range for {key}: {given}")
+        if key == "p" and len(set(given)) < len(given):
+            raise BadRange(f"repeated prime in p: {given}")
     # the closed form's own refusals, asked at the grid's low corners before any worker starts
-    lows = {key: bounds[0] for key, bounds in grid.items() if key != "p"}
-    for p in grid.get("p", (None,)):
-        th.evaluate(params, {**lows, "p": p})
-    points = th.grid(grid)
+    for corner in itertools.product(*(v if k == "p" else v[:1] for k, v in grid.items())):
+        th.evaluate(params, dict(zip(grid, corner)))
+    # loops nest in the defaults' order; each point lists its keys in argument order
+    points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+    points = [{key: point[key] for key in th.keys} for point in points]
     evaluate = partial(_evaluate_cell, params, theorem, oracle, scan_below, seed)
     workers = _worker_count(jobs, len(points))
     if workers > 1:

@@ -5,9 +5,12 @@ real stdout so the lines survive pytest's capture.  Every equality here
 is exact; no tolerances are involved anywhere.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from lucas_rank.verifier import (
     PAIR_THEOREMS,
     THEOREM_TABLE,
     check_delta_negative_fixtures,
+    report_to_json,
     reproduce_remark,
     sweep,
 )
@@ -34,6 +38,13 @@ from oracles import nu_slow
 
 PARAMS_GRID = [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (3, -1), (4, -3)]
 TRIPLE_LABELS = THEOREM_TABLE["triple"].labels
+# sha256 of each default sweep's JSON report, keyed "a,b,theorem"; the benchmark checks the same
+PINNED = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
+
+
+def _matches_pin(a, b, report):
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    return digest == PINNED[f"{a},{b},{report.theorem}"]
 
 
 @pytest.fixture()
@@ -77,7 +88,7 @@ def test_remark_reproduction(announce):
 
 def test_pair_theorem_sweeps(announce):
     start = time.perf_counter()
-    total = agreed = disagreed = 0
+    total = agreed = disagreed = pinned = 0
     bad = []
     # Some pairs reach only part of a theorem's branches (vm-vn gives
     # only 2lcm*gcd at (1, 2) and (3, 2)), so coverage is checked over
@@ -91,6 +102,10 @@ def test_pair_theorem_sweeps(announce):
             agreed += report.summary.agreed
             disagreed += report.summary.disagreed
             labels[theorem].update(c.case_label for c in report.cells)
+            if _matches_pin(a, b, report):
+                pinned += 1
+            else:
+                bad.append((a, b, theorem, "report differs from its pinned digest"))
             bad.extend(
                 (a, b, theorem, c.inputs) for c in report.cells if not c.agree
             )
@@ -98,10 +113,11 @@ def test_pair_theorem_sweeps(announce):
     coverage_ok = all(labels[t] == THEOREM_TABLE[t].labels for t in PAIR_THEOREMS)
     if not coverage_ok:
         bad.append({t: sorted(labels[t]) for t in PAIR_THEOREMS})
-    ok = disagreed == 0 and coverage_ok and total == len(PARAMS_GRID) * 3 * 18 * 18
+    ok = (disagreed == 0 and coverage_ok and total == len(PARAMS_GRID) * 3 * 18 * 18
+          and pinned == len(PARAMS_GRID) * 3)
     announce("pair-theorem-sweep", ok, elapsed,
              f"cells={total} agreed={agreed} disagreed={disagreed} "
-             f"all-branches={coverage_ok}")
+             f"all-branches={coverage_ok} pinned={pinned}")
     assert ok, bad[:10]
 
 
@@ -126,7 +142,7 @@ def test_pair_theorem_sweeps_to_40(announce):
 
 def test_triple_theorem_sweeps(announce):
     start = time.perf_counter()
-    total = disagreed = 0
+    total = disagreed = pinned = 0
     coverage_ok = True
     bad = []
     for a, b in PARAMS_GRID:
@@ -135,15 +151,20 @@ def test_triple_theorem_sweeps(announce):
         total += report.summary.total
         disagreed += report.summary.disagreed
         bad.extend((a, b, c.inputs) for c in report.cells if not c.agree)
+        if _matches_pin(a, b, report):
+            pinned += 1
+        else:
+            bad.append((a, b, "report differs from its pinned digest"))
         for p in (3, 5, 7):
             labels = {c.case_label for c in report.cells if c.inputs["p"] == p}
             if labels != TRIPLE_LABELS:
                 coverage_ok = False
                 bad.append((a, b, p, sorted(labels)))
     elapsed = time.perf_counter() - start
-    ok = disagreed == 0 and coverage_ok and total == len(PARAMS_GRID) * 3 * 60
+    ok = (disagreed == 0 and coverage_ok and total == len(PARAMS_GRID) * 3 * 60
+          and pinned == len(PARAMS_GRID))
     announce("triple-theorem-sweep", ok, elapsed,
-             f"cells={total} disagreed={disagreed} all-branches={coverage_ok}")
+             f"cells={total} disagreed={disagreed} all-branches={coverage_ok} pinned={pinned}")
     assert ok, bad[:10]
 
 

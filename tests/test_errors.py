@@ -63,6 +63,8 @@ BAD_CALLS = {
     "sweep-bare-prime": (lambda: sweep(FIB, "triple", {"p": 3}), ()),
     "sweep-non-int-bound": (lambda: sweep(FIB, "um-un", {"n": ("a", 3)}), ()),
     "sweep-three-bounds": (lambda: sweep(FIB, "um-un", {"m": (3, 4, 9), "n": (3, 3)}), ()),
+    "sweep-ranges-list": (lambda: sweep(FIB, "um-un", [("m", (3, 4))]), ()),
+    "sweep-ranges-0": (lambda: sweep(FIB, "um-un", 0), ()),
     "sweep-scan-below-with-scan-oracle": (
         lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, oracle="scan", scan_below=0), ()),
     "sweep-scan-below-past-scan-cap": (
@@ -91,6 +93,8 @@ def test_bad_argument_raises_lucas_rank_error(name):
         ("sweep-scan-below-past-scan-cap", "need scan_below <= 100000000, got 100000001"),
         ("sweep-jobs-0", "need jobs >= 1, got 0"),
         ("sweep-jobs-minus-3", "need jobs >= 1, got -3"),
+        ("sweep-ranges-list", r"malformed ranges: \[\('m', \(3, 4\)\)\]"),
+        ("sweep-ranges-0", "malformed ranges: 0"),
         ("report_from_dict-empty", "malformed report: KeyError: 'params'"),
         ("report_from_dict-unknown-cell-key", "malformed report: TypeError: .*'bogus'"),
     ],

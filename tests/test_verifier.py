@@ -130,6 +130,20 @@ class TestSweep:
         assert [(c.inputs["n"], c.inputs["p"]) for c in report.cells] == [
             (n, p) for p in (3, 5, 7) for n in (1, 2)]
 
+    def test_listed_primes_keep_the_callers_order(self):
+        report = sweep(FIB, "triple", {"n": (1, 2), "p": (5, 3)})
+        assert [(c.inputs["n"], c.inputs["p"]) for c in report.cells] == [
+            (1, 5), (2, 5), (1, 3), (2, 3)]
+        assert all(list(c.inputs)[:2] == ["n", "p"] for c in report.cells)
+
+    def test_defaults_order_is_the_loop_order(self, monkeypatch):
+        row = THEOREM_TABLE["um-un"]._replace(defaults={"n": (3, 4), "m": (3, 5)})
+        monkeypatch.setitem(THEOREM_TABLE, "um-un", row)
+        report = sweep(FIB, "um-un")
+        assert [(c.inputs["m"], c.inputs["n"]) for c in report.cells] == [
+            (m, n) for n in (3, 4) for m in (3, 4, 5)]
+        assert all(list(c.inputs)[:2] == ["m", "n"] for c in report.cells)
+
     @pytest.mark.parametrize(
         "theorem, ranges, key",
         [("um-un", {"p": (3,)}, "p"), ("triple", {"m": (3, 4)}, "m")],
