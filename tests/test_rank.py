@@ -252,6 +252,12 @@ def _outcome(fn, params, m, cap):
         return type(exc)
 
 
+def _orbit_outcome(params, m, cap):
+    """`rank._orbit_search` on the whole of m, as `_outcome` reports `tau_scan`."""
+    k = rank._orbit_search(params.a % m, params.b % m, m, cap)
+    return NotFound if k is None else TauResult(k, "linear-scan")
+
+
 def _coords(points):
     """The parallel coordinate lists that `rank._keys` takes, from (x, y) pairs."""
     return [x for x, _ in points], [y for _, y in points]
@@ -414,8 +420,12 @@ class TestBlockScan:
         ],
     )
     def test_larger_blocks(self, a, b, m, cap):
+        # `tau_scan` splits a composite m at its primes below 10^4, so the orbit search is
+        # also called on the whole of m
         params = make_params(a, b)
-        assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+        want = _outcome(_reference_scan, params, m, cap)
+        assert _orbit_outcome(params, m, cap) == want
+        assert _outcome(tau_scan, params, m, cap) == want
 
     _EVERY_PLACE = {"j = 0", "direct side", "direct edge", "mirror side", "mirror edge"}
 
@@ -436,12 +446,14 @@ class TestBlockScan:
     )
     def test_answer_at_giant_edges(self, a, b, m, places):
         # the answer on each side of a window, at j = 0 and at both ends (j = G - 1)
+        # on the whole of m: `tau_scan` would split a composite m before any search
         params = make_params(a, b)
         answer = _reference_scan(params, m, 250_000).value
         caps = _window_caps(answer)
         assert set(caps) == places
         for cap in {*caps.values(), answer - 1, answer}:
-            assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+            assert _orbit_outcome(params, m, cap) == _outcome(_reference_scan, params, m, cap)
+        assert tau_scan(params, m, answer).value == answer
 
     def test_baby_table_bound_above_2_32(self):
         # p = 1000003 = 3 mod 5, so the rank divides p + 1, and it is p + 1; a cap
@@ -460,7 +472,8 @@ class TestBlockScan:
         prefix = [u_exact(params, j) for j in range(1, 448)]  # G = 448 for cap 200,000
         assert sum(math.gcd(u, m) > 1 for u in prefix) > len(prefix) // 2
         for cap in (172_799, 172_800, 200_000):
-            assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+            assert _orbit_outcome(params, m, cap) == _outcome(_reference_scan, params, m, cap)
+        assert tau_scan(params, m, 200_000).value == 172_800  # the parts 2^10, 3^4, 5^2 and 7
 
     @pytest.mark.parametrize("m", [2**6, 5 * 7, 2 * 3**2 * 5, 2**3 * 3**2])
     def test_keys_name_the_points_of_the_projective_line(self, m):
@@ -580,15 +593,17 @@ class TestBlockScan:
             monkeypatch.setattr(rank, "_keys", constant_keys(direct))
             for ab, m, cap in cases:
                 params = make_params(*ab)
-                try:
-                    k = tau_scan(params, m, cap).value
-                except NotFound:
-                    continue
-                assert 1 <= k <= cap and uv_mod(params, k, m)[0] == 0
+                # on the whole of m, and through `tau_scan`, which splits a composite m
+                for outcome in (_orbit_outcome(params, m, cap), _outcome(tau_scan, params, m, cap)):
+                    if outcome is not NotFound:
+                        k = outcome.value
+                        assert 1 <= k <= cap and uv_mod(params, k, m)[0] == 0
             for ab, m, caps, t in edges:
-                assert tau_scan(make_params(*ab), m, caps["mirror edge"]).value == t
+                params = make_params(*ab)
+                assert _orbit_outcome(params, m, caps["mirror edge"]).value == t
+                assert tau_scan(params, m, caps["mirror edge"]).value == t
                 if direct == 0:
-                    assert tau_scan(make_params(*ab), m, caps["direct edge"]).value == t
+                    assert _orbit_outcome(params, m, caps["direct edge"]).value == t
 
     @pytest.mark.parametrize("a,b", [(1, 1), (3, -1)])
     def test_no_small_factor_steps_to_the_answer(self, a, b):
@@ -609,6 +624,64 @@ class TestBlockScan:
         assert tau_scan(params, m, 289).value == 289
         with pytest.raises(NotFound):
             tau_scan(params, m, 288)
+
+
+class TestSplitScan:
+    """Caps above `_PLAIN_MAX`: m split at its primes below 10^4, each part walked, joined by lcm."""
+
+    def test_an_orbit_is_never_longer_than_the_projective_line(self):
+        # 7^6 is walked to at most |P^1(Z/7^6)| = 7^5 * 8 = 134456, which is its rank for (1, 1)
+        params = make_params(1, 1)
+        m = 7**6
+        assert list(rank._parts(m, 10**6)) == [(m, 134_456)]
+        assert _reference_scan(params, m, 134_456).value == 134_456 == tau(params, m).value
+        assert tau_scan(params, m, 134_456) == TauResult(134_456, "linear-scan")
+        with pytest.raises(NotFound):
+            tau_scan(params, m, 134_455)
+
+    def test_parts_within_the_cap_whose_lcm_passes_it(self):
+        # the parts 2^9 and 5^4 have ranks 384 and 625 for (1, 1); m's rank is their lcm
+        params = make_params(1, 1)
+        m = 2**9 * 5**4
+        assert [_reference_scan(params, q, 1000).value for q in (2**9, 5**4)] == [384, 625]
+        for cap in (1000, 239_999):
+            assert _outcome(tau_scan, params, m, cap) == NotFound
+        assert _outcome(_reference_scan, params, m, 1000) == NotFound
+        assert tau_scan(params, m, 240_000).value == 240_000 == tau(params, m).value
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, -1), (1, -2)])  # (1, -2): delta = -7
+    def test_unit_modulus(self, a, b):
+        for cap in (513, 10**6):
+            assert tau_scan(make_params(a, b), 1, cap) == TauResult(1, "linear-scan")
+
+    @pytest.mark.parametrize("a,b,parts", [
+        (1, 1, (2**4, 9973)),  # rank 59844
+        (3, -1, (3**3, 9973)),  # rank 89766
+        (1, -2, (3**2, 5, 9973)),  # rank 59844
+        # a cofactor above 10^4 is walked as one part
+        (1, 1, (2**5, 10_007)),  # rank 10008
+        (3, -1, (3**2, 10_007 * 10_009)),  # rank 5004
+        (1, -2, (3**2, 10_037)),  # rank 20076
+    ], ids=["1-1-2^4*9973", "3--1-3^3*9973", "1--2-3^2*5*9973", "1-1-2^5*10007",
+            "3--1-3^2*10007*10009", "1--2-3^2*10037"])
+    def test_parts_of_m(self, a, b, parts):
+        params = make_params(a, b)
+        m = math.prod(parts)
+        assert [part for part, _ in rank._parts(m, 10**6)] == list(parts)
+        answer = _reference_scan(params, m, 10**5).value
+        for cap in {513, 9973, 9974, answer - 1, answer, answer + 1}:
+            assert _outcome(tau_scan, params, m, cap) == _outcome(_reference_scan, params, m, cap)
+
+    def test_answers_without_rank_theory_factoring_or_the_ladder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the definitional scan used rank theory, factoring or the ladder")
+
+        for name in ("uv_mod", "factorize", "is_prime"):
+            monkeypatch.setattr(rank, name, refuse)
+        params = make_params(1, 1)
+        assert tau_scan(params, 7**6, 10**6).value == 134_456
+        assert tau_scan(params, 2**5 * 10_007, 10**6).value == 10_008
+        assert tau_scan(params, 2**4 * 3**4 * 5**2 * 7 * 11 * 13, 10**6).value == 37_800
 
 
 @pytest.mark.slow
@@ -641,6 +714,54 @@ def test_orbit_search_equals_the_reference_scan_on_random_moduli():
             found = answer is not None and answer <= cap
             want = TauResult(answer, "linear-scan") if found else NotFound
             assert _outcome(tau_scan, params, m, cap) == want, (a, b, m, cap)
+
+
+@pytest.mark.slow
+def test_split_scan_equals_the_reference_scan_on_random_moduli():
+    # about 12 s: 18,000 (a, b, m, cap) cases, with one reference scan per (a, b, m);
+    # each prime power q^e is met at the caps |P^1(Z/q^e)| - 1, |P^1| and |P^1| + 1
+    rng = random.Random(23)
+    reach = 20_000
+    cases = negative_delta = 0
+    while cases < 18_000:
+        a, b = rng.randint(-30, 30), rng.randint(-30, 30)
+        q = rng.choice(rank._SMALL_PRIMES)
+        e = 1
+        while q ** e * (q + 1) <= reach:
+            e += 1
+        e = rng.randint(1, e)
+        kind = rng.randrange(4)
+        if kind == 0:  # a prime power below 10^4, walked to |P^1| at most
+            m = q**e
+        elif kind == 1:  # a prime power and a cofactor with no prime below 10^4
+            m = q**e * rng.choice(_MID_PRIMES)
+        elif kind == 2:  # smooth: several prime powers below 10^4
+            m = math.prod(rng.choice(rank._SMALL_PRIMES[:30]) for _ in range(rng.randrange(1, 6)))
+            m *= q**e
+        else:  # any m below 10^12
+            m = rng.randrange(1, 10**12)
+        try:
+            params = make_params(a, b)
+            answer = _reference_scan(params, m, reach).value
+        except NotFound:
+            answer = None
+        except LucasRankError:
+            continue
+        caps = {rng.randrange(rank._PLAIN_MAX + 1, reach + 1), rank._PLAIN_MAX + 1}
+        if kind < 3:
+            size = q ** (e - 1) * (q + 1)  # |P^1(Z/q^e)|
+            caps |= {size - 1, size, size + 1}
+        if answer is not None:
+            caps |= {answer - 1, answer, answer + 1}
+        for cap in caps:
+            if not 1 <= cap <= reach:
+                continue
+            found = answer is not None and answer <= cap
+            want = TauResult(answer, "linear-scan") if found else NotFound
+            assert _outcome(tau_scan, params, m, cap) == want, (a, b, m, cap)
+            cases += 1
+            negative_delta += params.delta < 0
+    assert negative_delta > 1000
 
 
 def _check_tau_against_scan(seed, low, high, count):

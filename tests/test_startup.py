@@ -2,7 +2,8 @@
 
 The pool and the CSV writer load only where they run, no record needs
 `dataclasses` (and with it `inspect`), and `verifier` and `closed_form`
-load only for the `formula` and `verify` commands.
+load only for the `formula` and `verify` commands.  The scan's product
+of the primes below 10^4 is built on first use, not at import.
 """
 
 import os
@@ -41,6 +42,18 @@ def test_cli_import_leaves_dataclasses_and_the_verifier_unloaded():
         f"print(sorted(set({NOT_FOR_THE_CLI!r}) & set(sys.modules)))\n"
     )
     assert out == ["[]"]
+
+
+def test_scan_split_product_is_built_on_first_use():
+    # the CLI import loads rank.py, so its 14,277-bit product of the primes below 10^4
+    # waits for the first scan with a cap above 512
+    out = _fresh(
+        "from lucas_rank import cli, rank\n"
+        "print(rank._split_product.cache_info().currsize)\n"
+        "assert cli.run(['tau-scan', '--m', '60042', '--cap', '20000']) == 0\n"
+        "print(rank._split_product.cache_info().currsize)\n"
+    )
+    assert out == ["0", "10008", "1"]
 
 
 @pytest.mark.parametrize("argv,loads_verifier", [
