@@ -1,8 +1,8 @@
 """Rank of apparition: tau(m) = least k >= 1 with m | U_k.
 
 Three independent routes are provided.  `tau_scan` is the definitional
-oracle: it steps the recurrence mod m, or for a large cap searches the
-orbits that the recurrence walks on the projective lines of m's parts,
+oracle: it splits m into parts, steps the recurrence mod each part or, for
+a large cap, searches the orbit it walks on the part's projective line,
 and decides each k by m | U_k alone, with trial division by the primes
 below 10^4 as its only factoring.  `tau` factors m and combines
 prime-power ranks by lcm, using valuation-based lifting at each prime.
@@ -14,7 +14,7 @@ minimality without trusting the lifting formulas.
 import functools
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from typing import NamedTuple
 
 from .errors import BadRange, NotAMultiple, NotCoprimeToB, NotFound, NotPrime, TooLarge
@@ -182,28 +182,28 @@ def nu_in_u(params: LucasParams, p: int, k: int) -> int:
         e *= 2
 
 
-# A cap up to this is stepped one index at a time, for m and for each part of m that
-# `_split_scan` walks.  Timed with no answer below the cap (nproc = 2, Python 3.11.7), the
-# orbit search overtakes the plain loop near cap 150-250 when every y is a unit mod m
-# (primes of 20-61 bits), but near 950-1150 for whole smooth m (parts of U_k of 129-163
-# bits), whose points take the general key path; `_split_scan` never searches those
-# whole.  On the pair sweeps' own scans with caps in (256, 1024], limits of 384 to 640 took
-# within 3% of each other, while 1024 took 12-13% more than 512 and 256 took 7-8% more.
+# A part of m whose own cap is at most this is stepped one index at a time; a larger one
+# is searched.  Timed with no answer below the cap (nproc = 2, Python 3.11.7), the orbit
+# search overtakes the plain loop near cap 150-250 when every y is a unit mod m (primes of
+# 20-61 bits), but near 950-1150 for whole smooth m (parts of U_k of 129-163 bits), whose
+# points take the general key path; `_split_scan` never searches those whole.  On the pair
+# sweeps' own scans with caps in (256, 1024], limits of 384 to 640 took within 3% of each
+# other, while 1024 took 12-13% more than 512 and 256 took 7-8% more.  Only a cap above it
+# pays the gcd with the primes from 1000 to 10^4 (`_parts`).
 _PLAIN_MAX = 512
 _BABY_MAX = 2 ** 16  # bounds the baby table; larger caps take more giant steps
 _GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
+_LOW_PRODUCT = math.prod(_SMALL_PRIMES[:168])  # the 168 primes below 1000 (1,380 bits)
 
 
 def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     """Least k <= cap with m | U_k, by definition.
 
-    A cap up to 512 is stepped one index at a time (`_plain_scan`).  A larger
-    cap first splits m into its prime powers below 10^4 and a cofactor
-    (`_split_scan`), and walks each part by Shanks's baby steps, giant steps
-    (`_orbit_search`), or steps it when the part's own cap is at most 512.
-    None of this uses rank theory or `uv_mod`, the only factoring is trial
-    division by the primes below 10^4, and each part's k is decided by, or
-    confirmed with, that part's own U_k.
+    m is split into parts (`_split_scan`), and each part is stepped one index
+    at a time (`_plain_scan`) when its own cap is at most 512, else walked by
+    Shanks's baby steps, giant steps (`_orbit_search`).  None of this uses rank theory or `uv_mod`, the only
+    factoring is trial division by the primes below 10^4, and each part's k
+    is decided by, or confirmed with, that part's own U_k.
 
     Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all),
     BadRange for a cap below 1, and NotFound when the cap is exhausted.
@@ -211,8 +211,7 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     require_rank_modulus(params, m)
     if cap < 1:
         raise BadRange(f"need cap >= 1, got {cap}")
-    walk = _split_scan if cap > _PLAIN_MAX else _plain_scan
-    k = walk(params.a % m, params.b % m, m, cap)
+    k = _split_scan(params.a, params.b, m, cap)
     if k is None:
         raise NotFound(f"no index k <= {cap} with {m} | U_k")
     return TauResult(k, "linear-scan")
@@ -220,40 +219,61 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
 
 @functools.cache
 def _split_product() -> int:
-    """The product of the primes below 10^4 (14,277 bits), built on first use, not at import."""
-    return math.prod(_SMALL_PRIMES)
+    """The product of the primes from 1000 to 10^4 (12,898 bits), built on first use."""
+    return math.prod(_SMALL_PRIMES[168:])
 
 
-def _split_scan(am: int, bm: int, m: int, cap: int) -> int | None:
+def _split_scan(a: int, b: int, m: int, cap: int) -> int | None:
     """Least k <= cap with m | U_k, or None, as the lcm of the least k of m's parts.
 
-    The parts are the powers q^e of the primes q below 10^4 that divide
-    g = gcd(m, the product of those primes), found by trial division of g,
-    and the cofactor r of m.  By CRT, P^1(Z/m) is the product of the parts'
+    The parts are prime powers q^e of m with q below 10^4 and a cofactor r
+    (see `_parts`).  By CRT, P^1(Z/m) is the product of the parts'
     projective lines and M acts on each factor, so P_k = P_0 mod m exactly
     when it holds mod every part (see `_orbit_search` for M and P_k).  M
     permutes each finite line, so the k with P_k = P_0 mod a part are the
     multiples of the least one, and m | U_k exactly when k is a multiple of
     every part's least k.  An orbit of a permutation is never longer than
     its set, so the least k for q^e is at most |P^1(Z/q^e)| = q^(e-1)(q+1),
-    and the part is walked to the cap or that, whichever is smaller.
+    and the part is walked to the cap or that, whichever is smaller; so is
+    an r known to be prime.
     """
     k = 1
     for part, part_cap in _parts(m, cap):
         walk = _orbit_search if part_cap > _PLAIN_MAX else _plain_scan
-        t = walk(am % part, bm % part, part, part_cap)
+        t = walk(a % part, b % part, part, part_cap)
         if t is None or (k := math.lcm(k, t)) > cap:
             return None
     return k
 
 
 def _parts(m: int, cap: int) -> Iterator[tuple[int, int]]:
-    """(q^e, min(cap, q^(e-1)(q+1))) for each prime q < 10^4 of m, then (r, cap) for r > 1."""
-    g = math.gcd(m, _split_product())
+    """The parts of m in order, each with the cap it is walked to.
+
+    First the powers of m's primes below 1000, from g = gcd(m, their
+    product).  The cofactor r has none of them, so below 10^6 it is 1 or a
+    prime, walked to min(cap, r + 1) = min(cap, |P^1(F_r)|).  A larger r is
+    split the same way at the primes from 1000 to 10^4, but only for a cap
+    above `_PLAIN_MAX`, which pays for that gcd; what is left goes last.
+    """
+    m = yield from _prime_powers(m, math.gcd(m, _LOW_PRODUCT), cap)
+    if m >= 10**6 and cap > _PLAIN_MAX:
+        m = yield from _prime_powers(m, math.gcd(m, _split_product()), cap)
+    if m > 1:
+        yield m, min(cap, m + 1) if m < 10**6 else cap
+
+
+def _prime_powers(m: int, g: int, cap: int) -> Generator[tuple[int, int], None, int]:
+    """(q^e, min(cap, q^(e-1)(q+1))) for each prime q of g, q^e || m; returns m without them.
+
+    g is a squarefree divisor of m with no prime above 10^4, divided by the
+    primes in order only while q^2 <= g: past that, g is 1 or one prime.
+    """
     for q in _SMALL_PRIMES:
-        if g == 1:
-            break
-        if g % q:
+        if q * q > g:
+            if g == 1:
+                break
+            q = g
+        elif g % q:
             continue
         g //= q
         part = q
@@ -262,8 +282,7 @@ def _parts(m: int, cap: int) -> Iterator[tuple[int, int]]:
             m //= q
             part *= q
         yield part, min(cap, part // q * (q + 1))
-    if m > 1:
-        yield m, cap
+    return m
 
 
 def _plain_scan(am: int, bm: int, m: int, cap: int) -> int | None:

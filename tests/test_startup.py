@@ -3,7 +3,7 @@
 The pool and the CSV writer load only where they run, no record needs
 `dataclasses` (and with it `inspect`), and `verifier` and `closed_form`
 load only for the `formula` and `verify` commands.  The scan's product
-of the primes below 10^4 is built on first use, not at import.
+of the primes from 1000 to 10^4 is built on first use, not at import.
 """
 
 import os
@@ -45,15 +45,16 @@ def test_cli_import_leaves_dataclasses_and_the_verifier_unloaded():
 
 
 def test_scan_split_product_is_built_on_first_use():
-    # the CLI import loads rank.py, so its 14,277-bit product of the primes below 10^4
-    # waits for the first scan with a cap above 512
+    # the CLI import loads rank.py, so its 12,898-bit product of the primes from 1000 to
+    # 10^4 waits for the first scan with a cap above 512 whose cofactor after the primes
+    # below 1000 is at least 10^6: here 1009 * 1000033, from m = 2 * 1009 * 1000033
     out = _fresh(
         "from lucas_rank import cli, rank\n"
         "print(rank._split_product.cache_info().currsize)\n"
-        "assert cli.run(['tau-scan', '--m', '60042', '--cap', '20000']) == 0\n"
+        "assert cli.run(['tau-scan', '--m', '2018066594', '--cap', '147546']) == 0\n"
         "print(rank._split_product.cache_info().currsize)\n"
     )
-    assert out == ["0", "10008", "1"]
+    assert out == ["0", "147546", "1"]
 
 
 @pytest.mark.parametrize("argv,loads_verifier", [
