@@ -6,9 +6,10 @@ a large cap, searches the orbit it walks on the part's projective line,
 and decides each k by m | U_k alone, with trial division by the primes
 below 10^4 as its only factoring.  `tau` factors m and combines
 prime-power ranks by lcm, using valuation-based lifting at each prime.
-`tau_min_divisor_oracle` starts from any verified multiple of the rank
-and strips prime factors while divisibility survives; it certifies
-minimality without trusting the lifting formulas.
+`tau_min_divisor_oracle` verifies a claimed multiple of the rank (an even
+one by the strip's first ladder, through U_2c = U_c V_c) and strips prime
+factors while divisibility survives; it certifies minimality without
+trusting the lifting formulas.
 """
 
 import functools
@@ -427,12 +428,15 @@ def _keys(xs: list[int], ys: list[int], m: int, cofactors: dict[int, int],
     return keys
 
 
-def _strip_to_minimum(params: LucasParams, target: int, multiple: int, seed: int) -> TauResult:
+def _strip_to_minimum(params: LucasParams, target: int, multiple: int, seed: int,
+                      first: bool | None = None) -> TauResult:
     """Shrink a verified multiple of the rank to the rank itself.
 
     Every k with target | U_k is a multiple of tau(target), so removing
     prime factors while divisibility persists lands exactly on tau.  The
     witness lists the multiple and every candidate tried, in order.
+    `first`, when given, is the outcome of the first candidate's test,
+    already known to the caller; that test then makes no ladder.
     """
     m = multiple
     witness = [m]
@@ -440,7 +444,9 @@ def _strip_to_minimum(params: LucasParams, target: int, multiple: int, seed: int
         while m % q == 0:
             cand = m // q
             witness.append(cand)
-            if uv_mod(params, cand, target)[0] == 0:
+            divides = uv_mod(params, cand, target)[0] == 0 if first is None else first
+            first = None
+            if divides:
                 m = cand
             else:
                 break
@@ -495,14 +501,24 @@ def tau_min_divisor_oracle(
 ) -> TauResult:
     """tau(target) given any index `multiple` with target | U_multiple.
 
-    The claimed multiple is re-verified before stripping; a bad claim
-    raises NotAMultiple rather than silently passing through.
+    The claimed multiple is verified before it is factored and stripped; a
+    bad claim raises NotAMultiple rather than silently passing through.  An
+    even multiple k is verified by the strip's own first ladder: `uv_mod` at
+    k/2 gives U_{k/2} and V_{k/2}, and U_k = U_{k/2} V_{k/2} (Lucas, Amer. J.
+    Math. 1, 1878), while U_{k/2} answers the strip's first candidate, k/2.
     """
     if target < 2:
         raise BadRange(f"need target >= 2, got {target}")
     if multiple < 1:
         raise BadRange(f"need multiple >= 1, got {multiple}")
     require_rank_modulus(params, target)
-    if uv_mod(params, multiple, target)[0] != 0:
+    first = None
+    if multiple % 2:
+        u = uv_mod(params, multiple, target)[0]
+    else:
+        half, v = uv_mod(params, multiple // 2, target)
+        first = half == 0
+        u = half * v % target
+    if u:
         raise NotAMultiple(f"{target} does not divide U_{multiple}")
-    return _strip_to_minimum(params, target, multiple, seed)
+    return _strip_to_minimum(params, target, multiple, seed, first)

@@ -5,7 +5,9 @@ actual product, and asks an oracle for the true rank of apparition.
 Disagreements are recorded verbatim, never suppressed.  The default
 oracle strips a verified multiple down to the minimum; cells whose
 closed-form value is small enough additionally get the definitional scan,
-so the two routes stay independent.
+so the two routes stay independent.  Each exact term U_i or V_i the
+products need is evaluated once per sweep (once per worker chunk with
+jobs > 1), by the cell that first needs it.
 """
 
 import itertools
@@ -28,7 +30,7 @@ class Theorem(NamedTuple):
 
     closed_form: str  # function name in `closed_form`, looked up on each call
     keys: tuple[str, ...]  # point keys in argument order; also the CLI flags
-    exact_product: Callable[..., int]  # (params, *keys) -> the product, exactly
+    exact_product: Callable[..., int]  # (U, V, *keys) -> the product, exactly, from term maps
     defaults: dict  # (low, high) per key, p's primes listed; in loop order, outermost first
     labels: frozenset
 
@@ -38,29 +40,44 @@ class Theorem(NamedTuple):
         fn = getattr(closed_form, self.closed_form)
         return fn(params, *map(point.__getitem__, self.keys))
 
-    def product(self, params: LucasParams, point: dict) -> int:
-        """The product at one point, computed exactly; extra keys in `point` are ignored."""
-        return self.exact_product(params, *map(point.__getitem__, self.keys))
+    def product(self, us, vs, point: dict) -> int:
+        """The product at one point from maps i -> U_i, V_i; extra keys in `point` are ignored."""
+        return self.exact_product(us, vs, *map(point.__getitem__, self.keys))
+
+
+class _Terms(dict):
+    """U_i, or V_i with `v`, by index i: evaluated exactly in the cell that first needs it.
+
+    The maps pickle, so each worker's chunk of cells carries its own.
+    """
+
+    def __init__(self, params: LucasParams, v: bool = False):
+        super().__init__()
+        self.params, self.v = params, v
+
+    def __missing__(self, i: int) -> int:
+        value = self[i] = (v_exact if self.v else u_exact)(self.params, i)
+        return value
 
 
 _PAIR_DEFAULTS = {"m": (3, 20), "n": (3, 20)}
 
 THEOREM_TABLE = {
     "um-vn": Theorem(
-        "tau_um_vn", ("m", "n"), lambda P, m, n: u_exact(P, m) * v_exact(P, n),
+        "tau_um_vn", ("m", "n"), lambda U, V, m, n: U[m] * V[n],
         _PAIR_DEFAULTS, frozenset({"2lcm", "lcm*V_d"}),
     ),
     "um-un": Theorem(
-        "tau_um_un", ("m", "n"), lambda P, m, n: u_exact(P, m) * u_exact(P, n),
+        "tau_um_un", ("m", "n"), lambda U, V, m, n: U[m] * U[n],
         _PAIR_DEFAULTS, frozenset({"lcm*U_d"}),
     ),
     "vm-vn": Theorem(
-        "tau_vm_vn", ("m", "n"), lambda P, m, n: v_exact(P, m) * v_exact(P, n),
+        "tau_vm_vn", ("m", "n"), lambda U, V, m, n: V[m] * V[n],
         _PAIR_DEFAULTS, frozenset({"lcm*gcd", "2lcm*gcd"}),
     ),
     "triple": Theorem(
         "tau_triple", ("n", "p"),
-        lambda P, n, p: u_exact(P, n) * u_exact(P, n + p) * u_exact(P, n + 2 * p),
+        lambda U, V, n, p: U[n] * U[n + p] * U[n + 2 * p],
         {"p": (3, 5, 7), "n": (1, 60)},
         frozenset({"p!|n,2!|n", "p!|n,2|n", "p|n,2!|n", "p|n,2|n"}),
     ),
@@ -104,13 +121,13 @@ def _scan(params: LucasParams, target: int, cap: int) -> int | None:
         return None
 
 
-def _evaluate_cell(params, theorem, oracle, scan_below, seed, point) -> SweepCell:
+def _evaluate_cell(params, us, vs, theorem, oracle, scan_below, seed, point) -> SweepCell:
     start = time.perf_counter()
     inputs = dict(point)
     th = THEOREM_TABLE[theorem]
     result = th.evaluate(params, point)
     claimed = result.value
-    target = th.product(params, point)
+    target = th.product(us, vs, point)
     if oracle == "divisor-minimality":
         try:
             got = rank.tau_min_divisor_oracle(params, target, claimed, seed=seed).value
@@ -217,7 +234,8 @@ def sweep(
     # loops nest in the defaults' order; each point lists its keys in argument order
     points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
     points = [{key: point[key] for key in th.keys} for point in points]
-    evaluate = partial(_evaluate_cell, params, theorem, oracle, scan_below, seed)
+    us, vs = _Terms(params), _Terms(params, v=True)
+    evaluate = partial(_evaluate_cell, params, us, vs, theorem, oracle, scan_below, seed)
     workers = _worker_count(jobs, len(points))
     if workers > 1:
         # imported here: loading the pool costs about 34 ms, which no serial call should pay
@@ -242,14 +260,12 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
     params = make_params(1, 1)
     start = time.perf_counter()
     n, p = 50, 5
+    us, vs = _Terms(params), _Terms(params, v=True)
     # scan_below=0: the remark's cell carries no scan_checked marker
-    cell = _evaluate_cell(params, "triple", "divisor-minimality", 0, seed, {"n": n, "p": p})
-    target = THEOREM_TABLE["triple"].product(params, {"n": n, "p": p})
-    alternative = (
-        n * (n + p) * (n + 2 * p) // (2 * p * p)
-        * u_exact(params, p)
-        * u_exact(params, 2 * p)
-    )
+    cell = _evaluate_cell(params, us, vs, "triple", "divisor-minimality", 0, seed,
+                          {"n": n, "p": p})
+    target = THEOREM_TABLE["triple"].product(us, vs, {"n": n, "p": p})
+    alternative = n * (n + p) * (n + 2 * p) // (2 * p * p) * us[p] * us[2 * p]
     alt_strips_to = rank.tau_min_divisor_oracle(params, target, alternative, seed=seed).value
     cell.inputs.update(
         alternative_value=alternative,

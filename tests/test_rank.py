@@ -1037,6 +1037,100 @@ class TestMinDivisorOracle:
             assert tau_min_divisor_oracle(params, m, 4 * t).value == t
 
 
+def _verify_then_strip(params, target, multiple, *, seed=0):
+    """The oracle with a ladder of its own to verify the multiple, then the strip."""
+    if uv_mod(params, multiple, target)[0] != 0:
+        raise NotAMultiple(f"{target} does not divide U_{multiple}")
+    m, witness = multiple, [multiple]
+    for q, _ in factorize(multiple, seed=seed).factors:
+        while m % q == 0:
+            cand = m // q
+            witness.append(cand)
+            if uv_mod(params, cand, target)[0]:
+                break
+            m = cand
+    return TauResult(m, "divisor-minimality", tuple(witness))
+
+
+def _strip_outcome(oracle, *args, **kwargs):
+    """The oracle's TauResult, or the message of its NotAMultiple."""
+    try:
+        return oracle(*args, **kwargs)
+    except NotAMultiple as exc:
+        return str(exc)
+
+
+class TestMinDivisorOracleLadders:
+    """An even multiple k is verified by the strip's first ladder, at k/2."""
+
+    def test_equals_verify_then_strip_on_random_pairs(self):
+        rng = random.Random(2025)
+        cases = evens = negative = 0
+        while cases < 400:
+            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+            try:
+                params = make_params(a, b)
+            except LucasRankError:
+                continue
+            target = rng.randrange(2, 10**rng.randint(1, 6) + 1)
+            if math.gcd(target, b) != 1:
+                continue
+            t = tau(params, target).value
+            odd, even = 2 * rng.randrange(8) + 1, 2 * rng.randrange(1, 8)
+            other = rng.randrange(1, 4 * t + 2)
+            for multiple in (t * odd, t * even, other + (other % t == 0), 1, 2):
+                seed = rng.randrange(100)
+                want = _strip_outcome(_verify_then_strip, params, target, multiple, seed=seed)
+                got = _strip_outcome(tau_min_divisor_oracle, params, target, multiple, seed=seed)
+                assert got == want, (a, b, target, multiple)
+                evens += multiple % 2 == 0
+            cases += 1
+            negative += params.delta < 0
+        assert evens >= 800  # t * even, 2, and about half the others and of t * odd
+        assert negative >= 50  # delta < 0
+
+    def test_multiple_verified_before_it_is_factored(self):
+        fib = make_params(1, 1)  # tau(5) = 5
+        with pytest.raises(NotAMultiple, match=rf"^5 does not divide U_{2**97}$"):
+            tau_min_divisor_oracle(fib, 5, 2**97)
+        with pytest.raises(TooLarge):
+            tau_min_divisor_oracle(fib, 5, 5 * 2**97)
+
+    @staticmethod
+    def _ladders(monkeypatch, fn, *args):
+        calls = []
+
+        def counting_uv_mod(params, n, modulus):
+            calls.append(n)
+            return uv_mod(params, n, modulus)
+
+        monkeypatch.setattr(rank, "uv_mod", counting_uv_mod)
+        result = fn(*args)
+        monkeypatch.undo()
+        return result, len(calls)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, -1), (1, -3)])
+    def test_one_ladder_per_prime_of_an_even_rank(self, monkeypatch, a, b):
+        params = make_params(a, b)
+        ranks = set()
+        for m in range(2, 300):
+            if math.gcd(m, b) != 1:
+                continue
+            t = tau(params, m).value
+            r, ladders = self._ladders(monkeypatch, tau_min_divisor_oracle, params, m, t)
+            assert r.value == t
+            omega = len(factorize(t).factors) if t > 1 else 0
+            assert ladders == omega + t % 2, (m, t)
+            ranks.add(t % 2)
+        assert ranks == {0, 1}
+
+    def test_tau_prime_gains_no_ladder(self, monkeypatch):
+        params = make_params(1, 1)
+        for p in (7, 11, 13, 17, 89, 10007, 1000003):
+            r, ladders = self._ladders(monkeypatch, tau_prime, params, p)
+            assert ladders == len(r.witness) - 1
+
+
 class TestNuInU:
     @pytest.mark.parametrize("a,b", GRID)
     def test_matches_exact_valuation(self, a, b):

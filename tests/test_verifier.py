@@ -2,10 +2,13 @@
 
 import concurrent.futures
 import json
+import pickle
+from collections import Counter
 
 import pytest
 
 import lucas_rank.closed_form as closed_form
+import lucas_rank.rank as rank
 import lucas_rank.verifier as verifier
 from lucas_rank.closed_form import ClosedFormResult
 from lucas_rank.errors import BadRange, NotEligible, NotOddPrime
@@ -220,7 +223,62 @@ class TestTheoremTable:
             "vm-vn": v[9] * v[5],
             "triple": u[9] * u[14] * u[19],
         }[theorem]
-        assert THEOREM_TABLE[theorem].product(FIB, point) == want
+        assert THEOREM_TABLE[theorem].product(u, v, point) == want
+
+
+class TestTermsOncePerSweep:
+    def test_default_block_evaluates_each_term_once(self, monkeypatch):
+        exact, ladders = Counter(), []
+        for kind in ("u_exact", "v_exact"):
+            real = getattr(verifier, kind)
+
+            def counting(params, n, kind=kind, real=real):
+                exact[kind, n] += 1
+                return real(params, n)
+
+            monkeypatch.setattr(verifier, kind, counting)
+        real_uv_mod = rank.uv_mod
+
+        def counting_uv_mod(params, n, modulus):
+            ladders.append(n)
+            return real_uv_mod(params, n, modulus)
+
+        monkeypatch.setattr(rank, "uv_mod", counting_uv_mod)
+        cells = 0
+        for theorem in THEOREMS:
+            exact.clear()
+            report = sweep(FIB, theorem)
+            assert report.summary.disagreed == 0
+            assert exact and max(exact.values()) == 1, theorem
+            cells += report.summary.total
+        assert cells == 1152
+        # an even claimed value is verified by the strip's first ladder
+        assert len(ladders) <= 2.95 * cells
+
+    def test_the_pools_cell_evaluator_pickles(self, monkeypatch):
+        sent = []
+
+        class PicklingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work, chunksize):
+                sent.append(pickle.dumps(fn))
+                return map(pickle.loads(sent[-1]), work)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        for theorem in THEOREMS:
+            ranges = {"n": (1, 4)} if theorem == "triple" else {"m": (3, 5), "n": (3, 5)}
+            report = sweep(FIB, theorem, ranges, jobs=2)
+            assert report_to_dict(report) == report_to_dict(sweep(FIB, theorem, ranges))
+        assert len(sent) == len(THEOREMS)
 
 
 class TestWorkerCount:
