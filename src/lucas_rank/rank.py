@@ -197,7 +197,7 @@ _GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
 _LOW_PRODUCT = math.prod(_SMALL_PRIMES[:168])  # the 168 primes below 1000 (1,380 bits)
 
 
-def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
+def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = None) -> TauResult:
     """Least k <= cap with m | U_k, by definition.
 
     m is split into parts (`_split_scan`), and each part is stepped one index
@@ -206,13 +206,16 @@ def tau_scan(params: LucasParams, m: int, cap: int) -> TauResult:
     factoring is trial division by the primes below 10^4, and each part's k
     is decided by, or confirmed with, that part's own U_k.
 
+    `walked`, a dict the caller keeps across calls, records each part's
+    outcome so that a part met again is not walked again (see `_split_scan`).
+
     Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all),
     BadRange for a cap below 1, and NotFound when the cap is exhausted.
     """
     require_rank_modulus(params, m)
     if cap < 1:
         raise BadRange(f"need cap >= 1, got {cap}")
-    k = _split_scan(params.a, params.b, m, cap)
+    k = _split_scan(params.a, params.b, m, cap, walked)
     if k is None:
         raise NotFound(f"no index k <= {cap} with {m} | U_k")
     return TauResult(k, "linear-scan")
@@ -224,7 +227,7 @@ def _split_product() -> int:
     return math.prod(_SMALL_PRIMES[168:])
 
 
-def _split_scan(a: int, b: int, m: int, cap: int) -> int | None:
+def _split_scan(a: int, b: int, m: int, cap: int, walked: dict | None) -> int | None:
     """Least k <= cap with m | U_k, or None, as the lcm of the least k of m's parts.
 
     The parts are prime powers q^e of m with q below 10^4 and a cofactor r
@@ -237,11 +240,24 @@ def _split_scan(a: int, b: int, m: int, cap: int) -> int | None:
     its set, so the least k for q^e is at most |P^1(Z/q^e)| = q^(e-1)(q+1),
     and the part is walked to the cap or that, whichever is smaller; so is
     an r known to be prime.
+
+    With `walked`, each walk's outcome is stored under (a % part, b % part,
+    part), the walk's own arguments, as (k or None, the part's cap).  A
+    stored k is the part's least k, so it answers every cap: a k past the
+    part's cap is past the cap itself, since k <= |P^1| where that bound
+    applies, and the lcm refuses it.  A stored None answers only a cap no
+    larger than the one walked to; a larger cap walks the part again and
+    overwrites it.
     """
     k = 1
     for part, part_cap in _parts(m, cap):
-        walk = _orbit_search if part_cap > _PLAIN_MAX else _plain_scan
-        t = walk(a % part, b % part, part, part_cap)
+        am, bm = a % part, b % part
+        t, reach = (None, 0) if walked is None else walked.get((am, bm, part), (None, 0))
+        if t is None and reach < part_cap:
+            walk = _orbit_search if part_cap > _PLAIN_MAX else _plain_scan
+            t = walk(am, bm, part, part_cap)
+            if walked is not None:
+                walked[am, bm, part] = t, part_cap
         if t is None or (k := math.lcm(k, t)) > cap:
             return None
     return k

@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -721,6 +723,47 @@ class TestSplitScan:
         assert tau_scan(params, 2**5 * 10_007, 10**6).value == 10_008
         assert tau_scan(params, 2**4 * 3**4 * 5**2 * 7 * 11 * 13, 10**6).value == 37_800
         assert tau_scan(params, 3_524_580, 180).value == 180
+
+
+def test_a_shared_cache_of_part_outcomes_answers_as_the_reference_scan():
+    # one dict of part outcomes across six random (a, b) and every target, as a sweep keeps
+    # one: the targets are drawn from a few prime powers and primes above 10^4, so parts repeat
+    # and most calls meet a part that an earlier call walked, at a cap below, at or above
+    # its cached k, and a cached None at a cap within or past the one it was walked to
+    rng = random.Random(26)
+    pool = [2**3, 3**2, 5, 7**2, 11, 13**2, 89, 997, *_MID_PRIMES[:3]]
+    reach = 3000
+    pairs = [ab for ab in ((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(40))
+             if _valid(ab)][:6]
+    walked, met = {}, Counter()
+    for _ in range(300):
+        a, b = rng.choice(pairs)
+        m = math.prod(rng.sample(pool, rng.randint(1, 3)))
+        if math.gcd(m, b) != 1:
+            continue
+        params = make_params(a, b)
+        answer = _outcome(_reference_scan, params, m, reach)
+        caps = {rng.randrange(1, reach + 1)}
+        if answer is not NotFound:
+            caps |= {answer.value - 1, answer.value, answer.value + 1}
+        for part, _ in rank._parts(m, reach):
+            if (a % part, b % part, part) in walked:
+                k, walked_to = walked[a % part, b % part, part]
+                c = k or walked_to
+                caps |= {c - 1, c, c + 1}
+        caps = [cap for cap in caps if 1 <= cap <= reach]
+        rng.shuffle(caps)
+        for cap in caps:
+            part, part_cap = next(rank._parts(m, cap))  # every call consults its first part
+            if (a % part, b % part, part) in walked:
+                k, walked_to = walked[a % part, b % part, part]
+                within = part_cap >= k if k else part_cap <= walked_to
+                met["k" if k else "None", within] += 1
+            found = answer is not NotFound and answer.value <= cap
+            want = answer if found else NotFound
+            got = _outcome(partial(tau_scan, walked=walked), params, m, cap)
+            assert got == want, (a, b, m, cap)
+    assert len(met) == 4 and min(met.values()) >= 10, met
 
 
 @pytest.mark.slow

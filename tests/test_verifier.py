@@ -83,11 +83,13 @@ class TestSweep:
         assert not cell.agree
         assert report.summary.disagreed == 1
 
-    def test_parallel_matches_serial(self):
-        kwargs = dict(ranges={"m": (3, 7), "n": (3, 7)})
-        serial = sweep(FIB, "vm-vn", **kwargs)
-        parallel = sweep(FIB, "vm-vn", jobs=2, **kwargs)
-        assert report_to_dict(serial) == report_to_dict(parallel)
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_parallel_matches_serial(self, theorem):
+        # each worker's chunk of cells carries its own maps of terms and of part outcomes
+        ranges = {"n": (1, 20)} if theorem == "triple" else {"m": (3, 7), "n": (3, 7)}
+        serial = sweep(FIB, theorem, ranges)
+        parallel = sweep(FIB, theorem, ranges, jobs=2)
+        assert report_to_json(serial) == report_to_json(parallel)
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_ineligible_params_rejected(self, theorem):
@@ -279,6 +281,32 @@ class TestTermsOncePerSweep:
             report = sweep(FIB, theorem, ranges, jobs=2)
             assert report_to_dict(report) == report_to_dict(sweep(FIB, theorem, ranges))
         assert len(sent) == len(THEOREMS)
+
+
+class TestPartsOncePerSweep:
+    def test_default_block_walks_each_part_once(self, monkeypatch):
+        walks = []
+        for name in ("_plain_scan", "_orbit_search"):
+            real = getattr(rank, name)
+
+            def counting(am, bm, m, cap, real=real):
+                k = real(am, bm, m, cap)
+                walks.append(((am, bm, m), cap, k))
+                return k
+
+            monkeypatch.setattr(rank, name, counting)
+        total = 0
+        for theorem in THEOREMS:
+            walks.clear()
+            assert sweep(FIB, theorem).summary.disagreed == 0
+            last = {}
+            for key, cap, k in walks:
+                if key in last:  # walked again only past the cap of a walk that found nothing
+                    before_cap, before_k = last[key]
+                    assert before_k is None and before_cap < cap, (theorem, key)
+                last[key] = cap, k
+            total += len(walks)
+        assert total == 292  # 4,588 when every scan walks every part
 
 
 class TestWorkerCount:
