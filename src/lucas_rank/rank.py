@@ -195,6 +195,7 @@ _PLAIN_MAX = 512
 _BABY_MAX = 2 ** 16  # bounds the baby table; larger caps take more giant steps
 _GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
 _LOW_PRODUCT = math.prod(_SMALL_PRIMES[:168])  # the 168 primes below 1000 (1,380 bits)
+_MID_PRIMES = _SMALL_PRIMES[168:]  # the primes from 1000 to 10^4
 
 
 def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = None) -> TauResult:
@@ -224,7 +225,7 @@ def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = Non
 @functools.cache
 def _split_product() -> int:
     """The product of the primes from 1000 to 10^4 (12,898 bits), built on first use."""
-    return math.prod(_SMALL_PRIMES[168:])
+    return math.prod(_MID_PRIMES)
 
 
 def _split_scan(a: int, b: int, m: int, cap: int, walked: dict | None) -> int | None:
@@ -266,26 +267,42 @@ def _split_scan(a: int, b: int, m: int, cap: int, walked: dict | None) -> int | 
 def _parts(m: int, cap: int) -> Iterator[tuple[int, int]]:
     """The parts of m in order, each with the cap it is walked to.
 
-    First the powers of m's primes below 1000, from g = gcd(m, their
-    product).  The cofactor r has none of them, so below 10^6 it is 1 or a
-    prime, walked to min(cap, r + 1) = min(cap, |P^1(F_r)|).  A larger r is
-    split the same way at the primes from 1000 to 10^4, but only for a cap
-    above `_PLAIN_MAX`, which pays for that gcd; what is left goes last.
+    An m below 10^6 is trial-divided by the primes while q^2 <= m, so what
+    is left is 1 or a prime r, walked to min(cap, r + 1) = min(cap,
+    |P^1(F_r)|).  A larger m gives the powers of its primes below 1000
+    from g = gcd(m, their product).  Its cofactor r has none of them, so
+    below 10^6 it too is 1 or a prime.  An r of 10^6 or more is split the
+    same way at the primes from 1000 to 10^4, but only for a cap above
+    `_PLAIN_MAX`, which pays for that gcd; what is left goes last.
     """
-    m = yield from _prime_powers(m, math.gcd(m, _LOW_PRODUCT), cap)
-    if m >= 10**6 and cap > _PLAIN_MAX:
-        m = yield from _prime_powers(m, math.gcd(m, _split_product()), cap)
+    if m < 10**6:
+        for q in _SMALL_PRIMES:
+            if q * q > m:
+                break
+            if m % q == 0:
+                part = q
+                m //= q
+                while m % q == 0:
+                    m //= q
+                    part *= q
+                yield part, min(cap, part // q * (q + 1))
+    else:
+        m = yield from _prime_powers(m, math.gcd(m, _LOW_PRODUCT), cap, _SMALL_PRIMES)
+        if m >= 10**6 and cap > _PLAIN_MAX:
+            m = yield from _prime_powers(m, math.gcd(m, _split_product()), cap, _MID_PRIMES)
     if m > 1:
         yield m, min(cap, m + 1) if m < 10**6 else cap
 
 
-def _prime_powers(m: int, g: int, cap: int) -> Generator[tuple[int, int], None, int]:
+def _prime_powers(m: int, g: int, cap: int,
+                  primes: list[int]) -> Generator[tuple[int, int], None, int]:
     """(q^e, min(cap, q^(e-1)(q+1))) for each prime q of g, q^e || m; returns m without them.
 
-    g is a squarefree divisor of m with no prime above 10^4, divided by the
-    primes in order only while q^2 <= g: past that, g is 1 or one prime.
+    g is a squarefree divisor of m whose primes are all in `primes`, an
+    ascending list of primes below 10^4.  It is divided by them in order
+    only while q^2 <= g: past that, g is 1 or one prime.
     """
-    for q in _SMALL_PRIMES:
+    for q in primes:
         if q * q > g:
             if g == 1:
                 break

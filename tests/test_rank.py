@@ -646,7 +646,7 @@ class TestSplitScan:
         (1, 600, []),
         (3_524_580, 180, [(4, 6), (27, 36), (5, 6), (61, 62), (107, 108)]),
         (2 * 997**3, 600, [(2, 3), (997**3, 600)]),
-        (997**2, 10**6, [(997**2, 997 * 998)]),  # below 10^6 but split by the first gcd
+        (997**2, 10**6, [(997**2, 997 * 998)]),  # below 10^6, so split by trial division
         # a cofactor below 10^6 with no prime below 1000 is a prime r, walked to r + 1
         (100_003, 10**6, [(100_003, 100_004)]),
         (100_003, 100_003, [(100_003, 100_003)]),
@@ -723,6 +723,58 @@ class TestSplitScan:
         assert tau_scan(params, 2**5 * 10_007, 10**6).value == 10_008
         assert tau_scan(params, 2**4 * 3**4 * 5**2 * 7 * 11 * 13, 10**6).value == 37_800
         assert tau_scan(params, 3_524_580, 180).value == 180
+
+
+def _gcd_parts(m, cap, primes, low_product, split_product):
+    """The gcd-only split that `rank._parts` made of every m before trial division: the reference.
+
+    `primes` are the primes below 10^4; the products are those of the primes below 1000 and of
+    the primes from 1000 to 10^4.
+    """
+    m = yield from _gcd_prime_powers(m, math.gcd(m, low_product), cap, primes)
+    if m >= 10**6 and cap > 512:
+        m = yield from _gcd_prime_powers(m, math.gcd(m, split_product), cap, primes)
+    if m > 1:
+        yield m, min(cap, m + 1) if m < 10**6 else cap
+
+
+def _gcd_prime_powers(m, g, cap, primes):
+    for q in primes:
+        if q * q > g:
+            if g == 1:
+                break
+            q = g
+        elif g % q:
+            continue
+        g //= q
+        part = q
+        m //= q
+        while m % q == 0:
+            m //= q
+            part *= q
+        yield part, min(cap, part // q * (q + 1))
+    return m
+
+
+def test_parts_equal_the_gcd_split():
+    # an m below 10^6 is trial-divided, a larger one split by gcds: the same parts, order and
+    # caps as the gcd split of every m, at each cap that changes how m is split
+    rng = random.Random(27)
+    mid_primes = [p for p in range(1000, 10**4) if _is_prime_slow(p)]
+    reference = _SMOOTH_PRIMES + mid_primes, math.prod(_SMOOTH_PRIMES), math.prod(mid_primes)
+    ms = [997**2, 2 * 997**3, 999_983, 1_000_003]
+    ms += [math.prod(rng.sample(mid_primes, 2)) * rng.choice([1, 2, 9, 997]) for _ in range(100)]
+    for q in _SMOOTH_PRIMES + mid_primes[:2]:  # the powers of q just below and above 10^6
+        below = q
+        while below * q < 10**6:
+            below *= q
+        ms += [below, below * q]
+    for _ in range(3000):
+        bits = rng.randint(1, 100)
+        ms.append(rng.getrandbits(bits) | 1 << (bits - 1))
+    for m in ms:
+        for cap in (1, 512, 513, 10**6):
+            assert list(rank._parts(m, cap)) == list(_gcd_parts(m, cap, *reference)), (m, cap)
 
 
 def test_a_shared_cache_of_part_outcomes_answers_as_the_reference_scan():

@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import json
+import math
 import pickle
+import random
 from collections import Counter
 
 import pytest
@@ -11,7 +13,14 @@ import lucas_rank.closed_form as closed_form
 import lucas_rank.rank as rank
 import lucas_rank.verifier as verifier
 from lucas_rank.closed_form import ClosedFormResult
-from lucas_rank.errors import BadRange, NotEligible, NotOddPrime
+from lucas_rank.errors import (
+    BadRange,
+    LucasRankError,
+    NotAMultiple,
+    NotEligible,
+    NotOddPrime,
+    TooLarge,
+)
 from lucas_rank.lucas_core import make_params
 from lucas_rank.verifier import (
     DEFAULT_SCAN_BELOW,
@@ -307,6 +316,110 @@ class TestPartsOncePerSweep:
                 last[key] = cap, k
             total += len(walks)
         assert total == 292  # 4,588 when every scan walks every part
+
+
+class _CountedCache(dict):
+    """A strip cache that counts its lookups, by whether the key was held."""
+
+    def __init__(self):
+        super().__init__()
+        self.met = Counter()
+
+    def get(self, key, default=None):
+        self.met[key in self] += 1
+        return super().get(key, default)
+
+
+class TestStripsOncePerSweep:
+    def test_default_block_strips_each_part_once(self, monkeypatch):
+        strips = Counter()
+        real = rank.tau_min_divisor_oracle
+
+        def counting(params, target, multiple, *, seed=0):
+            strips[params.a % target, params.b % target, target] += 1
+            return real(params, target, multiple, seed=seed)
+
+        monkeypatch.setattr(rank, "tau_min_divisor_oracle", counting)
+        total = 0
+        for theorem in THEOREMS:
+            strips.clear()
+            assert sweep(FIB, theorem).summary.disagreed == 0
+            assert max(strips.values()) == 1, theorem
+            total += sum(strips.values())
+        assert total == 293  # 1,152 when every cell strips its whole target
+
+    def test_a_shared_cache_answers_as_the_whole_target_oracle(self, monkeypatch):
+        # one strip cache across six random (a, b), as a sweep keeps one: the targets are drawn
+        # from a few prime powers and primes above 10^4, so parts repeat, and the claimed values
+        # are odd and even multiples of the rank and non-multiples of it
+        rng = random.Random(27)
+        pool = [2**3, 3**2, 5, 7**2, 11, 13**2, 89, 997, 10_007, 10_009, 10_037]
+        pairs = []
+        while len(pairs) < 6:  # three with delta < 0, three with delta > 0
+            try:
+                params = make_params(rng.randint(-9, 9), rng.randint(-9, 9))
+            except LucasRankError:
+                continue
+            if sum((p.delta < 0) == (params.delta < 0) for p in pairs) < 3:
+                pairs.append(params)
+        whole = rank.tau_min_divisor_oracle
+        refused = []
+
+        def part_oracle(params, target, multiple, *, seed=0):
+            try:
+                return whole(params, target, multiple, seed=seed)
+            except NotAMultiple:
+                refused.append(target)
+                raise
+
+        monkeypatch.setattr(rank, "tau_min_divisor_oracle", part_oracle)
+        stripped, outcomes = _CountedCache(), Counter()
+        for _ in range(400):
+            params = rng.choice(pairs)
+            target = math.prod(rng.sample(pool, rng.randint(1, 3)))
+            if math.gcd(target, params.b) != 1:
+                continue
+            t = rank.tau(params, target).value
+            q = rng.choice([f[0] for f in rank.factorize(t).factors]) if t > 1 else 1
+            multiple = t * rng.randint(1, 12)
+            claimed = rng.choice([multiple, multiple, t // q, multiple + 1])
+            try:
+                want = whole(params, target, claimed).value
+            except NotAMultiple:
+                want = NotAMultiple
+            refused.clear()
+            try:
+                got = verifier._strip(params, target, claimed, stripped, 0)
+            except NotAMultiple:
+                got = NotAMultiple
+                outcomes["refused by a " + ("strip" if refused else "cached rank")] += 1
+            else:
+                outcomes["odd" if claimed % 2 else "even"] += 1
+            assert got == want, (params, target, claimed)
+        assert min(outcomes.values()) >= 10 and len(outcomes) == 4, outcomes
+        assert min(stripped.met.values()) >= 50 and len(stripped.met) == 2, stripped.met
+
+    def test_a_claimed_value_past_the_factoring_bound_is_refused_whole(self):
+        # 2 of this sweep's 40 closed-form values pass 2^96, and the first, at n = 14 and p = 7,
+        # stops it, as it did when every cell stripped its whole target
+        params = make_params(40, 99)
+        message = "^610270232150241875327686647192480 exceeds the factoring bound"
+        with pytest.raises(TooLarge, match=message):
+            sweep(params, "triple", {"n": (1, 20), "p": (7, 11)})
+        # so with every part of that cell's target cached: the small parts hold their ranks,
+        # and the 285-bit cofactor holds the claimed value, a multiple of its rank, which a
+        # cache read before the bound would accept
+        th, point = THEOREM_TABLE["triple"], {"n": 14, "p": 7}
+        claimed = th.evaluate(params, point).value
+        target = th.product(verifier._Terms(params), verifier._Terms(params, v=True), point)
+        stripped = {}
+        for part, _ in rank._parts(target, claimed):
+            small = part < rank.FACTOR_BOUND
+            stripped[params.a % part, params.b % part, part] = (
+                rank.tau(params, part).value if small else claimed)
+        assert len(stripped) == 7 and claimed > rank.FACTOR_BOUND
+        with pytest.raises(TooLarge, match=message):
+            verifier._strip(params, target, claimed, stripped, 0)
 
 
 class TestWorkerCount:
