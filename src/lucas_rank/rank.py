@@ -6,9 +6,8 @@ a large cap, searches the orbit it walks on the part's projective line,
 and decides each k by m | U_k alone, with trial division by the primes
 below 10^4 as its only factoring.  `tau` factors m and combines
 prime-power ranks by lcm, using valuation-based lifting at each prime.
-`tau_min_divisor_oracle` verifies a claimed multiple of the rank (an even
-one by the strip's first ladder, through U_2c = U_c V_c) and strips prime
-factors while divisibility survives; it certifies minimality without
+`tau_min_divisor_oracle` verifies a claimed multiple of the rank and strips
+prime factors while divisibility survives; it certifies minimality without
 trusting the lifting formulas.
 """
 
@@ -47,7 +46,8 @@ def _sieve(limit: int) -> bytearray:
 
 _SMALL_PRIME_FLAGS = _sieve(_TRIAL_LIMIT)  # 1 at each prime below 10^4
 _SMALL_PRIMES = [i for i, flag in enumerate(_SMALL_PRIME_FLAGS) if flag]
-_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES[:64])  # 2 .. 311: one gcd before Miller-Rabin
+# the 168 primes below 1000 (1,380 bits): `is_prime`'s screen and `_parts`'s first gcd
+_LOW_PRODUCT = math.prod(_SMALL_PRIMES[:168])
 
 # Below 10^4 the sieve answers.  Above, the first k primes as strong-probable-prime bases
 # certify every n < psi_k, the least strong pseudoprime to all k (Jaeschke, Math. Comp. 1993;
@@ -79,7 +79,7 @@ def _is_sprp(n: int, bases: tuple[int, ...]) -> bool:
 def is_prime(n: int) -> bool:
     if n < _TRIAL_LIMIT:
         return n >= 0 and _SMALL_PRIME_FLAGS[n] == 1
-    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
+    if math.gcd(n, _LOW_PRODUCT) != 1:
         return False
     for psi, k in _MR_PSI:
         if n < psi:
@@ -194,7 +194,6 @@ def nu_in_u(params: LucasParams, p: int, k: int) -> int:
 _PLAIN_MAX = 512
 _BABY_MAX = 2 ** 16  # bounds the baby table; larger caps take more giant steps
 _GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
-_LOW_PRODUCT = math.prod(_SMALL_PRIMES[:168])  # the 168 primes below 1000 (1,380 bits)
 _MID_PRIMES = _SMALL_PRIMES[168:]  # the primes from 1000 to 10^4
 
 
@@ -216,7 +215,7 @@ def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = Non
     require_rank_modulus(params, m)
     if cap < 1:
         raise BadRange(f"need cap >= 1, got {cap}")
-    k = _split_scan(params.a, params.b, m, cap, walked)
+    k = _split_scan(params.a, params.b, m, cap, {} if walked is None else walked)
     if k is None:
         raise NotFound(f"no index k <= {cap} with {m} | U_k")
     return TauResult(k, "linear-scan")
@@ -228,7 +227,7 @@ def _split_product() -> int:
     return math.prod(_MID_PRIMES)
 
 
-def _split_scan(a: int, b: int, m: int, cap: int, walked: dict | None) -> int | None:
+def _split_scan(a: int, b: int, m: int, cap: int, walked: dict) -> int | None:
     """Least k <= cap with m | U_k, or None, as the lcm of the least k of m's parts.
 
     The parts are prime powers q^e of m with q below 10^4 and a cofactor r
@@ -242,7 +241,7 @@ def _split_scan(a: int, b: int, m: int, cap: int, walked: dict | None) -> int | 
     and the part is walked to the cap or that, whichever is smaller; so is
     an r known to be prime.
 
-    With `walked`, each walk's outcome is stored under (a % part, b % part,
+    Each walk's outcome is stored in `walked` under (a % part, b % part,
     part), the walk's own arguments, as (k or None, the part's cap).  A
     stored k is the part's least k, so it answers every cap: a k past the
     part's cap is past the cap itself, since k <= |P^1| where that bound
@@ -253,12 +252,11 @@ def _split_scan(a: int, b: int, m: int, cap: int, walked: dict | None) -> int | 
     k = 1
     for part, part_cap in _parts(m, cap):
         am, bm = a % part, b % part
-        t, reach = (None, 0) if walked is None else walked.get((am, bm, part), (None, 0))
+        t, reach = walked.get((am, bm, part), (None, 0))
         if t is None and reach < part_cap:
             walk = _orbit_search if part_cap > _PLAIN_MAX else _plain_scan
             t = walk(am, bm, part, part_cap)
-            if walked is not None:
-                walked[am, bm, part] = t, part_cap
+            walked[am, bm, part] = t, part_cap
         if t is None or (k := math.lcm(k, t)) > cap:
             return None
     return k
@@ -461,15 +459,12 @@ def _keys(xs: list[int], ys: list[int], m: int, cofactors: dict[int, int],
     return keys
 
 
-def _strip_to_minimum(params: LucasParams, target: int, multiple: int, seed: int,
-                      first: bool | None = None) -> TauResult:
+def _strip_to_minimum(params: LucasParams, target: int, multiple: int, seed: int) -> TauResult:
     """Shrink a verified multiple of the rank to the rank itself.
 
     Every k with target | U_k is a multiple of tau(target), so removing
     prime factors while divisibility persists lands exactly on tau.  The
     witness lists the multiple and every candidate tried, in order.
-    `first`, when given, is the outcome of the first candidate's test,
-    already known to the caller; that test then makes no ladder.
     """
     m = multiple
     witness = [m]
@@ -477,9 +472,7 @@ def _strip_to_minimum(params: LucasParams, target: int, multiple: int, seed: int
         while m % q == 0:
             cand = m // q
             witness.append(cand)
-            divides = uv_mod(params, cand, target)[0] == 0 if first is None else first
-            first = None
-            if divides:
+            if uv_mod(params, cand, target)[0] == 0:
                 m = cand
             else:
                 break
@@ -535,23 +528,13 @@ def tau_min_divisor_oracle(
     """tau(target) given any index `multiple` with target | U_multiple.
 
     The claimed multiple is verified before it is factored and stripped; a
-    bad claim raises NotAMultiple rather than silently passing through.  An
-    even multiple k is verified by the strip's own first ladder: `uv_mod` at
-    k/2 gives U_{k/2} and V_{k/2}, and U_k = U_{k/2} V_{k/2} (Lucas, Amer. J.
-    Math. 1, 1878), while U_{k/2} answers the strip's first candidate, k/2.
+    bad claim raises NotAMultiple rather than silently passing through.
     """
     if target < 2:
         raise BadRange(f"need target >= 2, got {target}")
     if multiple < 1:
         raise BadRange(f"need multiple >= 1, got {multiple}")
     require_rank_modulus(params, target)
-    first = None
-    if multiple % 2:
-        u = uv_mod(params, multiple, target)[0]
-    else:
-        half, v = uv_mod(params, multiple // 2, target)
-        first = half == 0
-        u = half * v % target
-    if u:
+    if uv_mod(params, multiple, target)[0]:
         raise NotAMultiple(f"{target} does not divide U_{multiple}")
-    return _strip_to_minimum(params, target, multiple, seed, first)
+    return _strip_to_minimum(params, target, multiple, seed)

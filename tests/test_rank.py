@@ -1156,7 +1156,7 @@ def _strip_outcome(oracle, *args, **kwargs):
 
 
 class TestMinDivisorOracleLadders:
-    """An even multiple k is verified by the strip's first ladder, at k/2."""
+    """A claimed multiple k is verified by one ladder at k, then the strip takes one per prime."""
 
     def test_equals_verify_then_strip_on_random_pairs(self):
         rng = random.Random(2025)
@@ -1215,7 +1215,7 @@ class TestMinDivisorOracleLadders:
             r, ladders = self._ladders(monkeypatch, tau_min_divisor_oracle, params, m, t)
             assert r.value == t
             omega = len(factorize(t).factors) if t > 1 else 0
-            assert ladders == omega + t % 2, (m, t)
+            assert ladders == omega + 1, (m, t)
             ranks.add(t % 2)
         assert ranks == {0, 1}
 

@@ -15,6 +15,10 @@ sympy = pytest.importorskip("sympy")
 # only by the extra bases.
 SPSP_9 = 3825123056546413051
 PSI_13 = 3317044064679887385961981
+# Above psi_13: 997 * 3327025140100187949847, refused by the gcd with the primes below 1000,
+# and the least prime past psi_13.
+PAST_PSI_13_997 = 3317044064679887385997459
+PAST_PSI_13_PRIME = 3317044064679887385962123
 
 
 def _seeded_numbers() -> list[int]:
@@ -29,7 +33,8 @@ def _seeded_numbers() -> list[int]:
     return numbers
 
 
-@pytest.mark.parametrize("n", [SPSP_9, PSI_13, 561, 41041, 2 ** 61 - 1, 2 ** 89 - 1])
+@pytest.mark.parametrize("n", [SPSP_9, PSI_13, PAST_PSI_13_997, PAST_PSI_13_PRIME,
+                               561, 41041, 2 ** 61 - 1, 2 ** 89 - 1])
 def test_is_prime_on_pseudoprimes_and_known_values(n):
     assert is_prime(n) == sympy.isprime(n)
 
@@ -49,9 +54,9 @@ def _tier_numbers(lo: int, hi: int, rng: random.Random) -> list[int]:
         if p < hi:
             numbers.append(p)
     numbers += [rng.randrange(lo, hi - 1) | 1 for _ in range(20)]
-    # below 10^4 the sieve answers, so take any odd factors; above, take factors past 311,
-    # the largest of the 64 primes that `is_prime` screens with one gcd before Miller-Rabin
-    smallest = 3 if hi <= 10 ** 4 else 312
+    # below 10^4 the sieve answers, so take any odd factors; above, take factors past 997,
+    # the largest of the 168 primes that `is_prime` screens with one gcd before Miller-Rabin
+    smallest = 3 if hi <= 10 ** 4 else 1000
     while len(numbers) < 60:
         p = int(sympy.nextprime(rng.randrange(smallest, math.isqrt(hi))))
         q = int(sympy.nextprime(rng.randrange(max(p, lo // p), hi // p)))
