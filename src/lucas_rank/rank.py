@@ -14,7 +14,7 @@ trusting the lifting formulas.
 import functools
 import math
 import random
-from collections.abc import Generator, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from typing import NamedTuple
 
 from .errors import BadRange, NotAMultiple, NotCoprimeToB, NotFound, NotPrime, TooLarge
@@ -197,7 +197,8 @@ _GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
 _MID_PRIMES = _SMALL_PRIMES[168:]  # the primes from 1000 to 10^4
 
 
-def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = None) -> TauResult:
+def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = None,
+             parts: Iterable[tuple[int, int]] | None = None) -> TauResult:
     """Least k <= cap with m | U_k, by definition.
 
     m is split into parts (`_split_scan`), and each part is stepped one index
@@ -208,6 +209,9 @@ def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = Non
 
     `walked`, a dict the caller keeps across calls, records each part's
     outcome so that a part met again is not walked again (see `_split_scan`).
+    `parts`, when given, must be m's split at this cap as `_parts(m, cap)`
+    gives it, so that a caller who has already split m need not split it
+    again; left as None, m is split here.
 
     Raises NotCoprimeToB when gcd(m, b) > 1 (no such k exists at all),
     BadRange for a cap below 1, and NotFound when the cap is exhausted.
@@ -215,7 +219,8 @@ def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = Non
     require_rank_modulus(params, m)
     if cap < 1:
         raise BadRange(f"need cap >= 1, got {cap}")
-    k = _split_scan(params.a, params.b, m, cap, {} if walked is None else walked)
+    k = _split_scan(params.a, params.b, _parts(m, cap) if parts is None else parts, cap,
+                    {} if walked is None else walked)
     if k is None:
         raise NotFound(f"no index k <= {cap} with {m} | U_k")
     return TauResult(k, "linear-scan")
@@ -227,19 +232,20 @@ def _split_product() -> int:
     return math.prod(_MID_PRIMES)
 
 
-def _split_scan(a: int, b: int, m: int, cap: int, walked: dict) -> int | None:
+def _split_scan(a: int, b: int, parts: Iterable[tuple[int, int]], cap: int,
+                walked: dict) -> int | None:
     """Least k <= cap with m | U_k, or None, as the lcm of the least k of m's parts.
 
-    The parts are prime powers q^e of m with q below 10^4 and a cofactor r
-    (see `_parts`).  By CRT, P^1(Z/m) is the product of the parts'
-    projective lines and M acts on each factor, so P_k = P_0 mod m exactly
-    when it holds mod every part (see `_orbit_search` for M and P_k).  M
-    permutes each finite line, so the k with P_k = P_0 mod a part are the
-    multiples of the least one, and m | U_k exactly when k is a multiple of
-    every part's least k.  An orbit of a permutation is never longer than
-    its set, so the least k for q^e is at most |P^1(Z/q^e)| = q^(e-1)(q+1),
-    and the part is walked to the cap or that, whichever is smaller; so is
-    an r known to be prime.
+    `parts` is m's split at `cap`, as `_parts(m, cap)` gives it: prime
+    powers q^e of m with q below 10^4 and a cofactor r.  By CRT, P^1(Z/m)
+    is the product of the parts' projective lines and M acts on each
+    factor, so P_k = P_0 mod m exactly when it holds mod every part (see
+    `_orbit_search` for M and P_k).  M permutes each finite line, so the k
+    with P_k = P_0 mod a part are the multiples of the least one, and
+    m | U_k exactly when k is a multiple of every part's least k.  An orbit
+    of a permutation is never longer than its set, so the least k for q^e
+    is at most |P^1(Z/q^e)| = q^(e-1)(q+1), and the part is walked to the
+    cap or that, whichever is smaller; so is an r known to be prime.
 
     Each walk's outcome is stored in `walked` under (a % part, b % part,
     part), the walk's own arguments, as (k or None, the part's cap).  A
@@ -250,7 +256,7 @@ def _split_scan(a: int, b: int, m: int, cap: int, walked: dict) -> int | None:
     overwrites it.
     """
     k = 1
-    for part, part_cap in _parts(m, cap):
+    for part, part_cap in parts:
         am, bm = a % part, b % part
         t, reach = walked.get((am, bm, part), (None, 0))
         if t is None and reach < part_cap:

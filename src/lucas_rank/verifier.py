@@ -12,9 +12,11 @@ a target into (see `rank._split_scan`), and strips each such part (see
 `_strip`).  A walk's outcome is kept under (a % part, b % part, part) in
 one dict, and a part that found nothing is walked again only at a larger
 cap; a strip's rank is kept under the same key in another dict, so the
-scan never reads a strip's answer.  A (1, 1) default block of the four
-sweeps makes 146 exact calls, 292 part walks and 293 strips, where doing
-each cell afresh made 2,484, 4,588 and 1,152.
+scan never reads a strip's answer.  A cell splits its target once, and
+hands the strip's parts to a scan at the same cap.  A (1, 1) default
+block of the four sweeps makes 146 exact calls, 1,152 splits, 292 part
+walks and 293 strips, where doing each cell afresh made 2,484, 2,303,
+4,588 and 1,152.
 """
 
 import itertools
@@ -122,29 +124,33 @@ class SweepReport(NamedTuple):
     summary: SweepSummary
 
 
-def _scan(params: LucasParams, target: int, cap: int, walked: dict) -> int | None:
+def _scan(params: LucasParams, target: int, cap: int, walked: dict,
+          parts: tuple | None = None) -> int | None:
     try:
-        return rank.tau_scan(params, target, cap, walked=walked).value
+        return rank.tau_scan(params, target, cap, walked=walked, parts=parts).value
     except NotFound:
         return None
 
 
-def _strip(params: LucasParams, target: int, claimed: int, stripped: dict, seed: int) -> int:
+def _strip(params: LucasParams, target: int, parts: tuple | None, claimed: int, stripped: dict,
+           seed: int) -> int:
     """tau(target) by the divisor-minimality strip, run once per part of target per sweep.
 
-    The parts are those `rank._parts` gives the scan at cap `claimed`.  They
-    are pairwise coprime, so tau(target) is the lcm of their ranks, and a
-    part divides U_claimed exactly when its rank divides `claimed` (Lucas,
-    Amer. J. Math. 1, 1878).  So each part is stripped once, from
-    `claimed`, and its rank is kept in `stripped` under (a % part,
-    b % part, part); a later cell raises NotAMultiple when `claimed` is not
-    a multiple of a kept rank.  A claimed value above `rank.FACTOR_BOUND`
-    goes to the oracle whole, which refuses it with TooLarge when it holds.
+    `parts` is `tuple(rank._parts(target, claimed))`, the split that the
+    cell also hands the scan at cap `claimed`, or None past
+    `rank.FACTOR_BOUND`.  The parts are pairwise coprime, so tau(target) is
+    the lcm of their ranks, and a part divides U_claimed exactly when its
+    rank divides `claimed` (Lucas, Amer. J. Math. 1, 1878).  So each part
+    is stripped once, from `claimed`, and its rank is kept in `stripped`
+    under (a % part, b % part, part); a later cell raises NotAMultiple when
+    `claimed` is not a multiple of a kept rank.  A claimed value above
+    `rank.FACTOR_BOUND` goes to the oracle whole, whatever `parts` holds,
+    and the oracle refuses it with TooLarge when `target` divides U_claimed.
     """
     if claimed > rank.FACTOR_BOUND:
         return rank.tau_min_divisor_oracle(params, target, claimed, seed=seed).value
     k = 1
-    for part, _ in rank._parts(target, claimed):
+    for part, _ in parts:
         key = params.a % part, params.b % part, part
         t = stripped.get(key)
         if t is None:
@@ -164,15 +170,17 @@ def _evaluate_cell(params, us, vs, walked, stripped, theorem, oracle, scan_below
     claimed = result.value
     target = th.product(us, vs, point)
     if oracle == "divisor-minimality":
+        # split once, for the strip and for a scan at the same cap
+        parts = tuple(rank._parts(target, claimed)) if claimed <= rank.FACTOR_BOUND else None
         try:
-            got = _strip(params, target, claimed, stripped, seed)
+            got = _strip(params, target, parts, claimed, stripped, seed)
         except NotAMultiple:
             inputs["oracle_note"] = "claimed value is not a multiple of the rank"
             got = _scan(params, target, _SCAN_HARD_CAP, walked)
         else:
             if got == claimed and claimed < scan_below:
                 inputs["scan_checked"] = True
-                got = _scan(params, target, claimed, walked)
+                got = _scan(params, target, claimed, walked, parts)
     elif claimed > _SCAN_HARD_CAP:  # the "scan" oracle
         inputs["oracle_cap_hit"] = True
         got = None

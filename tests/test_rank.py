@@ -818,6 +818,52 @@ def test_a_shared_cache_of_part_outcomes_answers_as_the_reference_scan():
     assert len(met) == 4 and min(met.values()) >= 10, met
 
 
+def _above_10_4(n):
+    """n without its primes below 10^4."""
+    for q in rank._SMALL_PRIMES:
+        while n % q == 0:
+            n //= q
+    return n
+
+
+def test_handed_parts_answer_as_the_scan_splits_itself():
+    # a sweep cell hands `tau_scan` the parts its strip split the target into at the same cap;
+    # the scan must answer with them as it does splitting m itself, and as the reference scan.
+    # Each m is a small part times the primes above 10^4 of U_i and U_j, so its cofactor is
+    # often composite and shares primes with other draws' cofactors, and within m when i | j
+    rng = random.Random(29)
+    reach = 4000
+    small = [1, 2**3, 3**2, 5, 7**2, 11, 997, 1009, 1013]
+    pairs = [ab for ab in ((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(40))
+             if _valid(ab)][:4]
+    cofactors, met = [], Counter()
+    while met["draws"] < 80:
+        a, b = rng.choice(pairs)
+        params = make_params(a, b)
+        i = rng.randrange(12, 60)
+        j = rng.choice([rng.randrange(12, 60), i, 2 * i, 3 * i])
+        big = _above_10_4(abs(u_exact(params, i)) * abs(u_exact(params, j)))
+        m = rng.choice(small) * big
+        if big < 10**4 or math.gcd(m, b) != 1:
+            continue
+        met["draws"] += 1
+        met["composite cofactor"] += not is_prime(big)
+        met["shares a prime"] += any(1 < math.gcd(big, c) for c in cofactors)
+        cofactors.append(big)
+        answer = _outcome(_reference_scan, params, m, reach)
+        caps = {rank._PLAIN_MAX - 1, rank._PLAIN_MAX, rank._PLAIN_MAX + 1,
+                rng.randrange(1, reach + 1)}
+        if answer is not NotFound:
+            caps |= {answer.value - 1, answer.value, answer.value + 1}
+        for cap in sorted(c for c in caps if 1 <= c <= reach):
+            want = answer if answer is not NotFound and answer.value <= cap else NotFound
+            handed = partial(tau_scan, parts=tuple(rank._parts(m, cap)))
+            assert _outcome(handed, params, m, cap) == want, (a, b, m, cap)
+            assert _outcome(tau_scan, params, m, cap) == want, (a, b, m, cap)
+            met[want is NotFound, cap > rank._PLAIN_MAX] += 1
+    assert min(met.values()) >= 10, met
+
+
 @pytest.mark.slow
 def test_orbit_search_equals_the_reference_scan_on_random_moduli():
     # about 5 s: one reference scan per draw decides every cap up to its reach

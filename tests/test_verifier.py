@@ -318,6 +318,26 @@ class TestPartsOncePerSweep:
             total += len(walks)
         assert total == 292  # 4,588 when every scan walks every part
 
+    def test_default_block_splits_each_target_once(self, monkeypatch):
+        splits = Counter()
+        real = rank._parts
+
+        def counting(m, cap):
+            splits[cap] += 1
+            return real(m, cap)
+
+        monkeypatch.setattr(rank, "_parts", counting)
+        claims, scanned = Counter(), 0
+        for theorem in THEOREMS:
+            report = sweep(FIB, theorem)
+            assert report.summary.disagreed == 0
+            claims.update(c.closed_form_value for c in report.cells)
+            scanned += sum("scan_checked" in c.inputs for c in report.cells)
+        # one split per cell, at its claimed value: the scan-checked cells hand the strip's
+        # parts to the scan, where each scan split its target again (2,303 calls)
+        assert claims.total() == 1152 and scanned == 1151
+        assert splits.total() == 1152 and splits == claims
+
 
 class _CountedCache(dict):
     """A strip cache that counts its lookups, by whether the key was held."""
@@ -389,8 +409,9 @@ class TestStripsOncePerSweep:
             except NotAMultiple:
                 want = NotAMultiple
             refused.clear()
+            parts = tuple(rank._parts(target, claimed))
             try:
-                got = verifier._strip(params, target, claimed, stripped, 0)
+                got = verifier._strip(params, target, parts, claimed, stripped, 0)
             except NotAMultiple:
                 got = NotAMultiple
                 outcomes["refused by a " + ("strip" if refused else "cached rank")] += 1
@@ -413,14 +434,14 @@ class TestStripsOncePerSweep:
         th, point = THEOREM_TABLE["triple"], {"n": 14, "p": 7}
         claimed = th.evaluate(params, point).value
         target = th.product(verifier._Terms(params), verifier._Terms(params, v=True), point)
-        stripped = {}
-        for part, _ in rank._parts(target, claimed):
+        stripped, parts = {}, tuple(rank._parts(target, claimed))
+        for part, _ in parts:
             small = part < rank.FACTOR_BOUND
             stripped[params.a % part, params.b % part, part] = (
                 rank.tau(params, part).value if small else claimed)
         assert len(stripped) == 7 and claimed > rank.FACTOR_BOUND
         with pytest.raises(TooLarge, match=message):
-            verifier._strip(params, target, claimed, stripped, 0)
+            verifier._strip(params, target, parts, claimed, stripped, 0)
 
 
 class TestWorkerCount:
@@ -521,12 +542,23 @@ class TestDisagreementPath:
             return r
 
         monkeypatch.setattr(closed_form, "tau_um_un", off_by_one)
+        splits = []
+        real_parts = rank._parts
+
+        def recording(m, cap):
+            splits.append((m, cap))
+            return real_parts(m, cap)
+
+        monkeypatch.setattr(rank, "_parts", recording)
         report = sweep(FIB, "um-un", {"m": (4, 4), "n": (6, 6)})
         cell = report.cells[0]
         assert not cell.agree
         assert cell.closed_form_value == 13
         assert cell.oracle_value == 12
         assert "oracle_note" in cell.inputs
+        # the strip's split is at the claimed value; the fallback scan splits at its own cap
+        target = 3 * 8  # U_4 * U_6
+        assert splits == [(target, 13), (target, verifier._SCAN_HARD_CAP)]
 
     def test_fallback_scan_that_finds_nothing(self, monkeypatch):
         real = closed_form.tau_um_un
