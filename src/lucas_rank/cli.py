@@ -223,7 +223,8 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
 
         for name, theorem in verifier.THEOREM_TABLE.items():
             command(formula, name, lambda ns, theorem=theorem: theorem.evaluate(
-                _params(ns), vars(ns)), {f"--{key}": (_positive, None) for key in theorem.keys})
+                _params(ns), *(getattr(ns, k) for k in theorem.keys)),
+                {f"--{key}": (_positive, None) for key in theorem.keys})
 
     if verify := group("verify", "grid verification reports"):
         from . import verifier

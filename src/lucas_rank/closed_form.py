@@ -27,8 +27,9 @@ def tau_um_vn(params: LucasParams, m: int, n: int) -> ClosedFormResult:
     """tau(U_m * V_n) for m, n >= 3."""
     d = check_pair(params, m, n)
     lcm = math.lcm(m, n)
-    ing = {"d": d, "lcm": lcm, "nu2_m": nu2(m), "nu2_n": nu2(n)}
-    if nu2(m) <= nu2(n):
+    w_m, w_n = nu2(m), nu2(n)
+    ing = {"d": d, "lcm": lcm, "nu2_m": w_m, "nu2_n": w_n}
+    if w_m <= w_n:
         return ClosedFormResult(2 * lcm, "2lcm", ing)
     vd = v_exact(params, d)
     ing["V_d"] = vd

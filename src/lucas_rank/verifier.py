@@ -9,14 +9,12 @@ so the two routes stay independent.  A sweep does each piece of work once
 (once per worker chunk with jobs > 1), in the cell that first needs it:
 it evaluates each exact term U_i or V_i, walks each part the scan splits
 a target into (see `rank._split_scan`), and strips each such part (see
-`_strip`).  A walk's outcome is kept under (a % part, b % part, part) in
-one dict, and a part that found nothing is walked again only at a larger
-cap; a strip's rank is kept under the same key in another dict, so the
+`_strip`).  A sweep has one (a, b), so a walk's outcome is kept under its
+part in one dict, and a part that found nothing is walked again only at a
+larger cap; a strip's rank is kept under its part in another dict, so the
 scan never reads a strip's answer.  A cell splits its target once, and
-hands the strip's parts to a scan at the same cap.  A (1, 1) default
-block of the four sweeps makes 146 exact calls, 1,152 splits, 292 part
-walks and 293 strips, where doing each cell afresh made 2,484, 2,303,
-4,588 and 1,152.
+hands the strip's parts to a scan at the same cap.  Each cell gets its
+point as the values of the theorem's keys, in key order.
 """
 
 import itertools
@@ -44,15 +42,10 @@ class Theorem(NamedTuple):
     defaults: dict  # (low, high) per key, p's primes listed; in loop order, outermost first
     labels: frozenset
 
-    def evaluate(self, params: LucasParams, point: dict):
-        """The ClosedFormResult at one point; extra keys in `point` are ignored."""
+    def evaluate(self, params: LucasParams, *values: int):
+        """The ClosedFormResult at one point, given as its values in key order."""
         # looked up on the module at call time so one formula can be swapped out
-        fn = getattr(closed_form, self.closed_form)
-        return fn(params, *map(point.__getitem__, self.keys))
-
-    def product(self, us, vs, point: dict) -> int:
-        """The product at one point from maps i -> U_i, V_i; extra keys in `point` are ignored."""
-        return self.exact_product(us, vs, *map(point.__getitem__, self.keys))
+        return getattr(closed_form, self.closed_form)(params, *values)
 
 
 class _Terms(dict):
@@ -142,19 +135,19 @@ def _strip(params: LucasParams, target: int, parts: tuple | None, claimed: int, 
     the lcm of their ranks, and a part divides U_claimed exactly when its
     rank divides `claimed` (Lucas, Amer. J. Math. 1, 1878).  So each part
     is stripped once, from `claimed`, and its rank is kept in `stripped`
-    under (a % part, b % part, part); a later cell raises NotAMultiple when
-    `claimed` is not a multiple of a kept rank.  A claimed value above
-    `rank.FACTOR_BOUND` goes to the oracle whole, whatever `parts` holds,
-    and the oracle refuses it with TooLarge when `target` divides U_claimed.
+    under the part, since a sweep keeps one `stripped` for its one (a, b);
+    a later cell raises NotAMultiple when `claimed` is not a multiple of a
+    kept rank.  A claimed value above `rank.FACTOR_BOUND` goes to the
+    oracle whole, whatever `parts` holds, and the oracle refuses it with
+    TooLarge when `target` divides U_claimed.
     """
     if claimed > rank.FACTOR_BOUND:
         return rank.tau_min_divisor_oracle(params, target, claimed, seed=seed).value
     k = 1
     for part, _ in parts:
-        key = params.a % part, params.b % part, part
-        t = stripped.get(key)
+        t = stripped.get(part)
         if t is None:
-            t = stripped[key] = rank.tau_min_divisor_oracle(params, part, claimed, seed=seed).value
+            t = stripped[part] = rank.tau_min_divisor_oracle(params, part, claimed, seed=seed).value
         elif claimed % t:
             raise NotAMultiple(f"{part} does not divide U_{claimed}")
         k = math.lcm(k, t)
@@ -162,13 +155,13 @@ def _strip(params: LucasParams, target: int, parts: tuple | None, claimed: int, 
 
 
 def _evaluate_cell(params, us, vs, walked, stripped, theorem, oracle, scan_below, seed,
-                   point) -> SweepCell:
+                   values) -> SweepCell:
     start = time.perf_counter()
-    inputs = dict(point)
     th = THEOREM_TABLE[theorem]
-    result = th.evaluate(params, point)
+    inputs = dict(zip(th.keys, values))
+    result = th.evaluate(params, *values)
     claimed = result.value
-    target = th.product(us, vs, point)
+    target = th.exact_product(us, vs, *values)
     if oracle == "divisor-minimality":
         # split once, for the strip and for a scan at the same cap
         parts = tuple(rank._parts(target, claimed)) if claimed <= rank.FACTOR_BOUND else None
@@ -271,12 +264,12 @@ def sweep(
             raise BadRange(f"empty range for {key}: {given}")
         if key == "p" and len(set(given)) < len(given):
             raise BadRange(f"repeated prime in p: {given}")
+    # loops nest in the defaults' order; each point lists its values in argument order
+    at = [list(grid).index(key) for key in th.keys]
     # the closed form's own refusals, asked at the grid's low corners before any worker starts
     for corner in itertools.product(*(v if k == "p" else v[:1] for k, v in grid.items())):
-        th.evaluate(params, dict(zip(grid, corner)))
-    # loops nest in the defaults' order; each point lists its keys in argument order
-    points = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
-    points = [{key: point[key] for key in th.keys} for point in points]
+        th.evaluate(params, *(corner[i] for i in at))
+    points = [tuple(values[i] for i in at) for values in itertools.product(*grid.values())]
     us, vs = _Terms(params), _Terms(params, v=True)
     evaluate = partial(_evaluate_cell, params, us, vs, {}, {}, theorem, oracle, scan_below,
                        seed)
@@ -307,8 +300,8 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
     us, vs = _Terms(params), _Terms(params, v=True)
     # scan_below=0: the remark's cell carries no scan_checked marker
     cell = _evaluate_cell(params, us, vs, {}, {}, "triple", "divisor-minimality", 0, seed,
-                          {"n": n, "p": p})
-    target = THEOREM_TABLE["triple"].product(us, vs, {"n": n, "p": p})
+                          (n, p))
+    target = THEOREM_TABLE["triple"].exact_product(us, vs, n, p)
     alternative = n * (n + p) * (n + 2 * p) // (2 * p * p) * us[p] * us[2 * p]
     alt_strips_to = rank.tau_min_divisor_oracle(params, target, alternative, seed=seed).value
     cell.inputs.update(

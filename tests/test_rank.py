@@ -799,16 +799,16 @@ def test_a_shared_cache_of_part_outcomes_answers_as_the_reference_scan():
         if answer is not NotFound:
             caps |= {answer.value - 1, answer.value, answer.value + 1}
         for part, _ in rank._parts(m, reach):
-            if (a % part, b % part, part) in walked:
-                k, walked_to = walked[a % part, b % part, part]
+            if part in walked.get((a, b), {}):
+                k, walked_to = walked[a, b][part]
                 c = k or walked_to
                 caps |= {c - 1, c, c + 1}
         caps = [cap for cap in caps if 1 <= cap <= reach]
         rng.shuffle(caps)
         for cap in caps:
             part, part_cap = next(rank._parts(m, cap))  # every call consults its first part
-            if (a % part, b % part, part) in walked:
-                k, walked_to = walked[a % part, b % part, part]
+            if part in walked.get((a, b), {}):
+                k, walked_to = walked[a, b][part]
                 within = part_cap >= k if k else part_cap <= walked_to
                 met["k" if k else "None", within] += 1
             found = answer is not NotFound and answer.value <= cap

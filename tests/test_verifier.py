@@ -223,7 +223,6 @@ class TestTheoremTable:
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_product_matches_terms(self, theorem):
-        point = dict(zip(THEOREM_TABLE[theorem].keys, (9, 5)))
         u, v = [0, 1], [2, 1]
         while len(u) < 20:
             u.append(u[-1] + u[-2])
@@ -234,7 +233,7 @@ class TestTheoremTable:
             "vm-vn": v[9] * v[5],
             "triple": u[9] * u[14] * u[19],
         }[theorem]
-        assert THEOREM_TABLE[theorem].product(u, v, point) == want
+        assert THEOREM_TABLE[theorem].exact_product(u, v, 9, 5) == want
 
 
 class TestTermsOncePerSweep:
@@ -255,14 +254,16 @@ class TestTermsOncePerSweep:
             return real_uv_mod(params, n, modulus)
 
         monkeypatch.setattr(rank, "uv_mod", counting_uv_mod)
-        cells = 0
+        cells = calls = 0
         for theorem in THEOREMS:
             exact.clear()
             report = sweep(FIB, theorem)
             assert report.summary.disagreed == 0
             assert exact and max(exact.values()) == 1, theorem
             cells += report.summary.total
+            calls += exact.total()
         assert cells == 1152
+        assert calls == 146  # 2,484 when every cell evaluates both its terms
         # each of the 293 strips verifies its claimed value with one ladder, then makes one
         # per candidate it tries: 1,358 in all
         assert len(ladders) == 1651
@@ -370,9 +371,9 @@ class TestStripsOncePerSweep:
         assert total == 293  # 1,152 when every cell strips its whole target
 
     def test_a_shared_cache_answers_as_the_whole_target_oracle(self, monkeypatch):
-        # one strip cache across six random (a, b), as a sweep keeps one: the targets are drawn
-        # from a few prime powers and primes above 10^4, so parts repeat, and the claimed values
-        # are odd and even multiples of the rank and non-multiples of it
+        # one strip cache for each of six random (a, b), as a sweep keeps one for its (a, b): the
+        # targets are drawn from a few prime powers and primes above 10^4, so parts repeat, and
+        # the claimed values are odd and even multiples of the rank and non-multiples of it
         rng = random.Random(27)
         pool = [2**3, 3**2, 5, 7**2, 11, 13**2, 89, 997, 10_007, 10_009, 10_037]
         pairs = []
@@ -394,7 +395,7 @@ class TestStripsOncePerSweep:
                 raise
 
         monkeypatch.setattr(rank, "tau_min_divisor_oracle", part_oracle)
-        stripped, outcomes = _CountedCache(), Counter()
+        caches, outcomes = {params: _CountedCache() for params in pairs}, Counter()
         for _ in range(400):
             params = rng.choice(pairs)
             target = math.prod(rng.sample(pool, rng.randint(1, 3)))
@@ -411,7 +412,7 @@ class TestStripsOncePerSweep:
             refused.clear()
             parts = tuple(rank._parts(target, claimed))
             try:
-                got = verifier._strip(params, target, parts, claimed, stripped, 0)
+                got = verifier._strip(params, target, parts, claimed, caches[params], 0)
             except NotAMultiple:
                 got = NotAMultiple
                 outcomes["refused by a " + ("strip" if refused else "cached rank")] += 1
@@ -419,7 +420,8 @@ class TestStripsOncePerSweep:
                 outcomes["odd" if claimed % 2 else "even"] += 1
             assert got == want, (params, target, claimed)
         assert min(outcomes.values()) >= 10 and len(outcomes) == 4, outcomes
-        assert min(stripped.met.values()) >= 50 and len(stripped.met) == 2, stripped.met
+        met = sum((cache.met for cache in caches.values()), Counter())
+        assert min(met.values()) >= 50 and len(met) == 2, met
 
     def test_a_claimed_value_past_the_factoring_bound_is_refused_whole(self):
         # 2 of this sweep's 40 closed-form values pass 2^96, and the first, at n = 14 and p = 7,
@@ -431,14 +433,13 @@ class TestStripsOncePerSweep:
         # so with every part of that cell's target cached: the small parts hold their ranks,
         # and the 285-bit cofactor holds the claimed value, a multiple of its rank, which a
         # cache read before the bound would accept
-        th, point = THEOREM_TABLE["triple"], {"n": 14, "p": 7}
-        claimed = th.evaluate(params, point).value
-        target = th.product(verifier._Terms(params), verifier._Terms(params, v=True), point)
+        th = THEOREM_TABLE["triple"]
+        claimed = th.evaluate(params, 14, 7).value
+        target = th.exact_product(verifier._Terms(params), verifier._Terms(params, v=True), 14, 7)
         stripped, parts = {}, tuple(rank._parts(target, claimed))
         for part, _ in parts:
             small = part < rank.FACTOR_BOUND
-            stripped[params.a % part, params.b % part, part] = (
-                rank.tau(params, part).value if small else claimed)
+            stripped[part] = rank.tau(params, part).value if small else claimed
         assert len(stripped) == 7 and claimed > rank.FACTOR_BOUND
         with pytest.raises(TooLarge, match=message):
             verifier._strip(params, target, parts, claimed, stripped, 0)
