@@ -5,16 +5,18 @@ actual product, and asks an oracle for the true rank of apparition.
 Disagreements are recorded verbatim, never suppressed.  The default
 oracle strips a verified multiple down to the minimum; cells whose
 closed-form value is small enough additionally get the definitional scan,
-so the two routes stay independent.  A sweep does each piece of work once
-(once per worker chunk with jobs > 1), in the cell that first needs it:
-it evaluates each exact term U_i or V_i, walks each part the scan splits
-a target into (see `rank._split_scan`), and strips each such part (see
-`_strip`).  A sweep has one (a, b), so a walk's outcome is kept under its
-part in one dict, and a part that found nothing is walked again only at a
-larger cap; a strip's rank is kept under its part in another dict, so the
-scan never reads a strip's answer.  A cell splits its target once, and
-hands the strip's parts to a scan at the same cap.  Each cell gets its
-point as the values of the theorem's keys, in key order.
+so the two routes stay independent.  One `_Sweep` holds a sweep's inputs,
+its exact terms and its part caches, and its `cell` method evaluates one
+point, given as the values of the theorem's keys in key order.  A sweep
+does each piece of work once (once per worker chunk with jobs > 1, since
+each chunk carries its own copy of the `_Sweep`), in the cell that first
+needs it: it evaluates each exact term U_i or V_i, walks each part the
+scan splits a target into (see `rank._split_scan`), and strips each such
+part (see `_Sweep.strip`).  A sweep has one (a, b), so a walk's outcome
+is kept under its part in one dict, and a part that found nothing is
+walked again only at a larger cap; a strip's rank is kept under its part
+in another dict, so the scan never reads a strip's answer.  A cell splits
+its target once, and hands the strip's parts to a scan at the same cap.
 """
 
 import itertools
@@ -24,7 +26,6 @@ import os
 import time
 from collections import Counter
 from collections.abc import Callable
-from functools import partial
 from typing import NamedTuple
 
 from . import closed_form, rank
@@ -38,7 +39,7 @@ class Theorem(NamedTuple):
 
     closed_form: str  # function name in `closed_form`, looked up on each call
     keys: tuple[str, ...]  # point keys in argument order; also the CLI flags
-    exact_product: Callable[..., int]  # (U, V, *keys) -> the product, exactly, from term maps
+    exact_product: Callable[..., int]  # (sweep, *keys) -> the product; sweep.u(i) is U_i
     defaults: dict  # (low, high) per key, p's primes listed; in loop order, outermost first
     labels: frozenset
 
@@ -48,39 +49,24 @@ class Theorem(NamedTuple):
         return getattr(closed_form, self.closed_form)(params, *values)
 
 
-class _Terms(dict):
-    """U_i, or V_i with `v`, by index i: evaluated exactly in the cell that first needs it.
-
-    The maps pickle, so each worker's chunk of cells carries its own.
-    """
-
-    def __init__(self, params: LucasParams, v: bool = False):
-        super().__init__()
-        self.params, self.v = params, v
-
-    def __missing__(self, i: int) -> int:
-        value = self[i] = (v_exact if self.v else u_exact)(self.params, i)
-        return value
-
-
 _PAIR_DEFAULTS = {"m": (3, 20), "n": (3, 20)}
 
 THEOREM_TABLE = {
     "um-vn": Theorem(
-        "tau_um_vn", ("m", "n"), lambda U, V, m, n: U[m] * V[n],
+        "tau_um_vn", ("m", "n"), lambda s, m, n: s.u(m) * s.v(n),
         _PAIR_DEFAULTS, frozenset({"2lcm", "lcm*V_d"}),
     ),
     "um-un": Theorem(
-        "tau_um_un", ("m", "n"), lambda U, V, m, n: U[m] * U[n],
+        "tau_um_un", ("m", "n"), lambda s, m, n: s.u(m) * s.u(n),
         _PAIR_DEFAULTS, frozenset({"lcm*U_d"}),
     ),
     "vm-vn": Theorem(
-        "tau_vm_vn", ("m", "n"), lambda U, V, m, n: V[m] * V[n],
+        "tau_vm_vn", ("m", "n"), lambda s, m, n: s.v(m) * s.v(n),
         _PAIR_DEFAULTS, frozenset({"lcm*gcd", "2lcm*gcd"}),
     ),
     "triple": Theorem(
         "tau_triple", ("n", "p"),
-        lambda U, V, n, p: U[n] * U[n + p] * U[n + 2 * p],
+        lambda s, n, p: s.u(n) * s.u(n + p) * s.u(n + 2 * p),
         {"p": (3, 5, 7), "n": (1, 60)},
         frozenset({"p!|n,2!|n", "p!|n,2|n", "p|n,2!|n", "p|n,2|n"}),
     ),
@@ -117,77 +103,89 @@ class SweepReport(NamedTuple):
     summary: SweepSummary
 
 
-def _scan(params: LucasParams, target: int, cap: int, walked: dict,
-          parts: tuple | None = None) -> int | None:
-    try:
-        return rank.tau_scan(params, target, cap, walked=walked, parts=parts).value
-    except NotFound:
-        return None
+class _Sweep:
+    """One sweep's inputs, its exact terms by index and its parts' walks and strips.
 
-
-def _strip(params: LucasParams, target: int, parts: tuple | None, claimed: int, stripped: dict,
-           seed: int) -> int:
-    """tau(target) by the divisor-minimality strip, run once per part of target per sweep.
-
-    `parts` is `tuple(rank._parts(target, claimed))`, the split that the
-    cell also hands the scan at cap `claimed`, or None past
-    `rank.FACTOR_BOUND`.  The parts are pairwise coprime, so tau(target) is
-    the lcm of their ranks, and a part divides U_claimed exactly when its
-    rank divides `claimed` (Lucas, Amer. J. Math. 1, 1878).  So each part
-    is stripped once, from `claimed`, and its rank is kept in `stripped`
-    under the part, since a sweep keeps one `stripped` for its one (a, b);
-    a later cell raises NotAMultiple when `claimed` is not a multiple of a
-    kept rank.  A claimed value above `rank.FACTOR_BOUND` goes to the
-    oracle whole, whatever `parts` holds, and the oracle refuses it with
-    TooLarge when `target` divides U_claimed.
+    It pickles, so each worker's chunk of cells carries its own copy; that is
+    why it holds the theorem's name and not its row, whose lambdas do not.
     """
-    if claimed > rank.FACTOR_BOUND:
-        return rank.tau_min_divisor_oracle(params, target, claimed, seed=seed).value
-    k = 1
-    for part, _ in parts:
-        t = stripped.get(part)
-        if t is None:
-            t = stripped[part] = rank.tau_min_divisor_oracle(params, part, claimed, seed=seed).value
-        elif claimed % t:
-            raise NotAMultiple(f"{part} does not divide U_{claimed}")
-        k = math.lcm(k, t)
-    return k
 
+    def __init__(self, params: LucasParams, theorem: str, oracle: str = "divisor-minimality",
+                 scan_below: int = DEFAULT_SCAN_BELOW, seed: int = 0):
+        self.params, self.theorem, self.oracle = params, theorem, oracle
+        self.scan_below, self.seed = scan_below, seed
+        self.us, self.vs, self.walked, self.stripped = {}, {}, {}, {}
 
-def _evaluate_cell(params, us, vs, walked, stripped, theorem, oracle, scan_below, seed,
-                   values) -> SweepCell:
-    start = time.perf_counter()
-    th = THEOREM_TABLE[theorem]
-    inputs = dict(zip(th.keys, values))
-    result = th.evaluate(params, *values)
-    claimed = result.value
-    target = th.exact_product(us, vs, *values)
-    if oracle == "divisor-minimality":
-        # split once, for the strip and for a scan at the same cap
-        parts = tuple(rank._parts(target, claimed)) if claimed <= rank.FACTOR_BOUND else None
+    def u(self, i: int) -> int:
+        """U_i, evaluated exactly in the cell that first needs it."""
+        return self.us[i] if i in self.us else self.us.setdefault(i, u_exact(self.params, i))
+
+    def v(self, i: int) -> int:
+        """V_i, evaluated exactly in the cell that first needs it."""
+        return self.vs[i] if i in self.vs else self.vs.setdefault(i, v_exact(self.params, i))
+
+    def scan(self, target: int, cap: int, parts: tuple | None = None) -> int | None:
         try:
-            got = _strip(params, target, parts, claimed, stripped, seed)
-        except NotAMultiple:
-            inputs["oracle_note"] = "claimed value is not a multiple of the rank"
-            got = _scan(params, target, _SCAN_HARD_CAP, walked)
+            return rank.tau_scan(self.params, target, cap, walked=self.walked, parts=parts).value
+        except NotFound:
+            return None
+
+    def strip(self, target: int, parts: tuple | None, claimed: int) -> int:
+        """tau(target) by the divisor-minimality strip, run once per part of target per sweep.
+
+        `parts` is `tuple(rank._parts(target, claimed))`, the split that the
+        cell also hands the scan at cap `claimed`, or None past
+        `rank.FACTOR_BOUND`.  The parts are pairwise coprime, so tau(target) is
+        the lcm of their ranks, and a part divides U_claimed exactly when its
+        rank divides `claimed` (Lucas, Amer. J. Math. 1, 1878).  So each part
+        is stripped once, from `claimed`, and its rank is kept in `stripped`
+        under the part, since a sweep has one (a, b); a later cell raises
+        NotAMultiple when `claimed` is not a multiple of a kept rank.  A
+        claimed value above `rank.FACTOR_BOUND` goes to the oracle whole,
+        whatever `parts` holds, and the oracle refuses it with TooLarge when
+        `target` divides U_claimed.
+        """
+        if claimed > rank.FACTOR_BOUND:
+            return rank.tau_min_divisor_oracle(self.params, target, claimed, seed=self.seed).value
+        k = 1
+        for part, _ in parts:
+            t = self.stripped.get(part)
+            if t is None:
+                t = self.stripped[part] = rank.tau_min_divisor_oracle(
+                    self.params, part, claimed, seed=self.seed).value
+            elif claimed % t:
+                raise NotAMultiple(f"{part} does not divide U_{claimed}")
+            k = math.lcm(k, t)
+        return k
+
+    def cell(self, values: tuple) -> SweepCell:
+        """The cell at one point, given as the values of the theorem's keys in key order."""
+        start = time.perf_counter()
+        params, th = self.params, THEOREM_TABLE[self.theorem]
+        inputs = dict(zip(th.keys, values))
+        result = th.evaluate(params, *values)
+        claimed = result.value
+        target = th.exact_product(self, *values)
+        if self.oracle == "divisor-minimality":
+            # split once, for the strip and for a scan at the same cap
+            parts = tuple(rank._parts(target, claimed)) if claimed <= rank.FACTOR_BOUND else None
+            try:
+                got = self.strip(target, parts, claimed)
+            except NotAMultiple:
+                inputs["oracle_note"] = "claimed value is not a multiple of the rank"
+                got = self.scan(target, _SCAN_HARD_CAP)
+            else:
+                if got == claimed and claimed < self.scan_below:
+                    inputs["scan_checked"] = True
+                    got = self.scan(target, claimed, parts)
+        elif claimed > _SCAN_HARD_CAP:  # the "scan" oracle
+            inputs["oracle_cap_hit"] = True
+            got = None
         else:
-            if got == claimed and claimed < scan_below:
-                inputs["scan_checked"] = True
-                got = _scan(params, target, claimed, walked, parts)
-    elif claimed > _SCAN_HARD_CAP:  # the "scan" oracle
-        inputs["oracle_cap_hit"] = True
-        got = None
-    else:
-        got = _scan(params, target, claimed, walked)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return SweepCell(
-        inputs=inputs,
-        closed_form_value=claimed,
-        oracle_value=got,
-        case_label=result.case_label,
-        agree=(got == claimed),
-        elapsed_ms=elapsed_ms,
-    )
+            got = self.scan(target, claimed)
+        return SweepCell(inputs=inputs, closed_form_value=claimed, oracle_value=got,
+                         case_label=result.case_label, agree=got == claimed,
+                         elapsed_ms=(time.perf_counter() - start) * 1000.0)
 
 
 def _summarize(cells: list[SweepCell]) -> SweepSummary:
@@ -233,12 +231,16 @@ def sweep(
         raise BadRange(f"unknown theorem tag: {theorem}")
     if oracle not in ORACLES:
         raise BadRange(f"unknown oracle: {oracle}")
+    if not isinstance(jobs, int):
+        raise BadRange(f"need an int jobs, got {jobs!r}")
     if jobs < 1:
         raise BadRange(f"need jobs >= 1, got {jobs}")
     if scan_below is None:
         scan_below = DEFAULT_SCAN_BELOW
     elif oracle == "scan":
         raise BadRange("scan_below applies only to the divisor-minimality oracle")
+    elif not isinstance(scan_below, int) or scan_below < 0:
+        raise BadRange(f"need an int scan_below >= 0, got {scan_below!r}")
     elif scan_below > _SCAN_HARD_CAP:
         raise BadRange(f"need scan_below <= {_SCAN_HARD_CAP}, got {scan_below}")
     th = THEOREM_TABLE[theorem]
@@ -270,9 +272,7 @@ def sweep(
     for corner in itertools.product(*(v if k == "p" else v[:1] for k, v in grid.items())):
         th.evaluate(params, *(corner[i] for i in at))
     points = [tuple(values[i] for i in at) for values in itertools.product(*grid.values())]
-    us, vs = _Terms(params), _Terms(params, v=True)
-    evaluate = partial(_evaluate_cell, params, us, vs, {}, {}, theorem, oracle, scan_below,
-                       seed)
+    evaluate = _Sweep(params, theorem, oracle, scan_below, seed).cell
     workers = _worker_count(jobs, len(points))
     if workers > 1:
         # imported here: loading the pool costs about 34 ms, which no serial call should pay
@@ -297,12 +297,11 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
     params = make_params(1, 1)
     start = time.perf_counter()
     n, p = 50, 5
-    us, vs = _Terms(params), _Terms(params, v=True)
     # scan_below=0: the remark's cell carries no scan_checked marker
-    cell = _evaluate_cell(params, us, vs, {}, {}, "triple", "divisor-minimality", 0, seed,
-                          (n, p))
-    target = THEOREM_TABLE["triple"].exact_product(us, vs, n, p)
-    alternative = n * (n + p) * (n + 2 * p) // (2 * p * p) * us[p] * us[2 * p]
+    run = _Sweep(params, "triple", scan_below=0, seed=seed)
+    cell = run.cell((n, p))
+    target = THEOREM_TABLE["triple"].exact_product(run, n, p)
+    alternative = n * (n + p) * (n + 2 * p) // (2 * p * p) * run.u(p) * run.u(2 * p)
     alt_strips_to = rank.tau_min_divisor_oracle(params, target, alternative, seed=seed).value
     cell.inputs.update(
         alternative_value=alternative,

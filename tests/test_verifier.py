@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -178,14 +179,14 @@ class TestSweep:
         ],
     )
     def test_malformed_bounds_refused_before_any_cell(self, monkeypatch, theorem, ranges, key):
-        monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
+        monkeypatch.setattr(verifier._Sweep, "cell", None)  # a cell would raise TypeError
         with pytest.raises(BadRange, match=f"^malformed range for {key}: "):
             sweep(FIB, theorem, ranges)
 
     def test_scan_below_past_the_scan_cap_refused_before_any_cell(self, monkeypatch):
         # the extra scan runs to the claimed rank, so scan_below bounds it like the other scans
         cap = verifier._SCAN_HARD_CAP
-        monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
+        monkeypatch.setattr(verifier._Sweep, "cell", None)  # a cell would raise TypeError
         with pytest.raises(BadRange, match=f"^need scan_below <= {cap}, got {cap + 1}$"):
             sweep(make_params(3, 1), "um-un", {"m": (30, 30), "n": (30, 30)}, scan_below=cap + 1)
         monkeypatch.undo()
@@ -194,7 +195,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("primes", [(3, 9), (3, 1)])
     def test_bad_prime_refused_before_any_cell(self, monkeypatch, primes):
-        monkeypatch.setattr(verifier, "_evaluate_cell", None)  # a cell would raise TypeError
+        monkeypatch.setattr(verifier._Sweep, "cell", None)  # a cell would raise TypeError
         with pytest.raises(NotOddPrime, match=f"^need an odd prime, got {primes[1]}$"):
             sweep(FIB, "triple", {"p": primes})
         # ineligible params are refused first, as tau_triple refuses them
@@ -233,7 +234,8 @@ class TestTheoremTable:
             "vm-vn": v[9] * v[5],
             "triple": u[9] * u[14] * u[19],
         }[theorem]
-        assert THEOREM_TABLE[theorem].exact_product(u, v, 9, 5) == want
+        terms = types.SimpleNamespace(u=u.__getitem__, v=v.__getitem__)
+        assert THEOREM_TABLE[theorem].exact_product(terms, 9, 5) == want
 
 
 class TestTermsOncePerSweep:
@@ -287,11 +289,20 @@ class TestTermsOncePerSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        # every field crosses the pickle: the oracle and a scan_below that marks some cells
+        # but not all would each change the report if a worker fell back to its default
+        options = ({}, {"oracle": "scan"}, {"scan_below": 25, "seed": 7})
+        marked = Counter()
         for theorem in THEOREMS:
             ranges = {"n": (1, 4)} if theorem == "triple" else {"m": (3, 5), "n": (3, 5)}
-            report = sweep(FIB, theorem, ranges, jobs=2)
-            assert report_to_dict(report) == report_to_dict(sweep(FIB, theorem, ranges))
-        assert len(sent) == len(THEOREMS)
+            for i, kwargs in enumerate(options):
+                report = sweep(FIB, theorem, ranges, jobs=2, **kwargs)
+                assert report_to_dict(report) == report_to_dict(
+                    sweep(FIB, theorem, ranges, **kwargs)), (theorem, kwargs)
+                marked.update((i, "scan_checked" in c.inputs) for c in report.cells)
+        assert len(sent) == len(options) * len(THEOREMS)
+        assert marked[0, False] == marked[1, True] == 0, marked
+        assert marked[2, True] and marked[2, False], marked
 
 
 class TestPartsOncePerSweep:
@@ -395,7 +406,10 @@ class TestStripsOncePerSweep:
                 raise
 
         monkeypatch.setattr(rank, "tau_min_divisor_oracle", part_oracle)
-        caches, outcomes = {params: _CountedCache() for params in pairs}, Counter()
+        sweeps, outcomes = {}, Counter()
+        for params in pairs:
+            sweeps[params] = verifier._Sweep(params, "triple")
+            sweeps[params].stripped = _CountedCache()
         for _ in range(400):
             params = rng.choice(pairs)
             target = math.prod(rng.sample(pool, rng.randint(1, 3)))
@@ -412,7 +426,7 @@ class TestStripsOncePerSweep:
             refused.clear()
             parts = tuple(rank._parts(target, claimed))
             try:
-                got = verifier._strip(params, target, parts, claimed, caches[params], 0)
+                got = sweeps[params].strip(target, parts, claimed)
             except NotAMultiple:
                 got = NotAMultiple
                 outcomes["refused by a " + ("strip" if refused else "cached rank")] += 1
@@ -420,7 +434,7 @@ class TestStripsOncePerSweep:
                 outcomes["odd" if claimed % 2 else "even"] += 1
             assert got == want, (params, target, claimed)
         assert min(outcomes.values()) >= 10 and len(outcomes) == 4, outcomes
-        met = sum((cache.met for cache in caches.values()), Counter())
+        met = sum((run.stripped.met for run in sweeps.values()), Counter())
         assert min(met.values()) >= 50 and len(met) == 2, met
 
     def test_a_claimed_value_past_the_factoring_bound_is_refused_whole(self):
@@ -435,14 +449,15 @@ class TestStripsOncePerSweep:
         # cache read before the bound would accept
         th = THEOREM_TABLE["triple"]
         claimed = th.evaluate(params, 14, 7).value
-        target = th.exact_product(verifier._Terms(params), verifier._Terms(params, v=True), 14, 7)
-        stripped, parts = {}, tuple(rank._parts(target, claimed))
+        run = verifier._Sweep(params, "triple")
+        target = th.exact_product(run, 14, 7)
+        stripped, parts = run.stripped, tuple(rank._parts(target, claimed))
         for part, _ in parts:
             small = part < rank.FACTOR_BOUND
             stripped[part] = rank.tau(params, part).value if small else claimed
         assert len(stripped) == 7 and claimed > rank.FACTOR_BOUND
         with pytest.raises(TooLarge, match=message):
-            verifier._strip(params, target, parts, claimed, stripped, 0)
+            run.strip(target, parts, claimed)
 
 
 class TestWorkerCount:
