@@ -139,7 +139,6 @@ def _cmd_verify_sweep(ns):
         ns.theorem,
         {key: given[key] for key in keys},
         oracle=ns.oracle,
-        jobs=ns.jobs,
         scan_below=ns.scan_below,
         seed=ns.seed,
     )
@@ -245,7 +244,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         p.add_argument("--oracle", choices=verifier.ORACLES, default="divisor-minimality")
         p.add_argument("--scan-below", type=_nonneg, default=None,
                        help="extra definitional scan for values below this bound")
-        p.add_argument("--jobs", type=_positive, default=1, help="worker processes (default 1)")
         p.set_defaults(func=_report_handler(_cmd_verify_sweep), usage_error=p.error)
         p = verify.add_parser("remark", parents=[common, report_common])
         p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)))

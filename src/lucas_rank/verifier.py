@@ -8,21 +8,20 @@ closed-form value is small enough additionally get the definitional scan,
 so the two routes stay independent.  One `_Sweep` holds a sweep's inputs,
 its exact terms and its part caches, and its `cell` method evaluates one
 point, given as the values of the theorem's keys in key order.  A sweep
-does each piece of work once (once per worker chunk with jobs > 1, since
-each chunk carries its own copy of the `_Sweep`), in the cell that first
-needs it: it evaluates each exact term U_i or V_i, walks each part the
-scan splits a target into (see `rank._split_scan`), and strips each such
-part (see `_Sweep.strip`).  A sweep has one (a, b), so a walk's outcome
-is kept under its part in one dict, and a part that found nothing is
-walked again only at a larger cap; a strip's rank is kept under its part
-in another dict, so the scan never reads a strip's answer.  A cell splits
-its target once, and hands the strip's parts to a scan at the same cap.
+runs its cells in one process and does each piece of work once, in the
+cell that first needs it: it evaluates each exact term U_i or V_i, walks
+each part the scan splits a target into (see `rank._split_scan`), and
+strips each such part (see `_Sweep.strip`).  A sweep has one (a, b), so
+a walk's outcome is kept under its part in one dict, and a part that
+found nothing is walked again only at a larger cap; a strip's rank is
+kept under its part in another dict, so the scan never reads a strip's
+answer.  A cell splits its target once, and hands the strip's parts to a
+scan at the same cap.
 """
 
 import itertools
 import json
 import math
-import os
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -104,15 +103,11 @@ class SweepReport(NamedTuple):
 
 
 class _Sweep:
-    """One sweep's inputs, its exact terms by index and its parts' walks and strips.
-
-    It pickles, so each worker's chunk of cells carries its own copy; that is
-    why it holds the theorem's name and not its row, whose lambdas do not.
-    """
+    """One sweep's inputs, its exact terms by index and its parts' walks and strips."""
 
     def __init__(self, params: LucasParams, theorem: str, oracle: str = "divisor-minimality",
                  scan_below: int = DEFAULT_SCAN_BELOW, seed: int = 0):
-        self.params, self.theorem, self.oracle = params, theorem, oracle
+        self.params, self.theorem, self.oracle = params, THEOREM_TABLE[theorem], oracle
         self.scan_below, self.seed = scan_below, seed
         self.us, self.vs, self.walked, self.stripped = {}, {}, {}, {}
 
@@ -161,7 +156,7 @@ class _Sweep:
     def cell(self, values: tuple) -> SweepCell:
         """The cell at one point, given as the values of the theorem's keys in key order."""
         start = time.perf_counter()
-        params, th = self.params, THEOREM_TABLE[self.theorem]
+        params, th = self.params, self.theorem
         inputs = dict(zip(th.keys, values))
         result = th.evaluate(params, *values)
         claimed = result.value
@@ -199,18 +194,12 @@ def _summarize(cells: list[SweepCell]) -> SweepSummary:
     )
 
 
-def _worker_count(jobs: int, cells: int) -> int:
-    """Worker processes for a sweep: never more than the CPUs or the cells."""
-    return min(jobs, os.cpu_count() or 1, cells)
-
-
 def sweep(
     params: LucasParams,
     theorem: str,
     ranges: dict | None = None,
     *,
     oracle: str = "divisor-minimality",
-    jobs: int = 1,
     scan_below: int | None = None,
     seed: int = 0,
 ) -> SweepReport:
@@ -223,18 +212,13 @@ def sweep(
     refused.  The loops nest in the order of the theorem's defaults,
     outermost first; listed primes keep their given order.
     `scan_below` (default 10^7, at most the 10^8 cap of every sweep scan)
-    applies to the divisor-minimality oracle only.  Cells are independent,
-    so jobs > 1 evaluates them in worker processes, at most one per CPU and
-    per cell; the report keeps deterministic input order either way.
+    applies to the divisor-minimality oracle only.  The report lists the
+    cells in the loops' order.
     """
     if theorem not in THEOREM_TABLE:
         raise BadRange(f"unknown theorem tag: {theorem}")
     if oracle not in ORACLES:
         raise BadRange(f"unknown oracle: {oracle}")
-    if not isinstance(jobs, int):
-        raise BadRange(f"need an int jobs, got {jobs!r}")
-    if jobs < 1:
-        raise BadRange(f"need jobs >= 1, got {jobs}")
     if scan_below is None:
         scan_below = DEFAULT_SCAN_BELOW
     elif oracle == "scan":
@@ -268,21 +252,11 @@ def sweep(
             raise BadRange(f"repeated prime in p: {given}")
     # loops nest in the defaults' order; each point lists its values in argument order
     at = [list(grid).index(key) for key in th.keys]
-    # the closed form's own refusals, asked at the grid's low corners before any worker starts
+    # the closed form's own refusals, asked at the grid's low corners before any cell
     for corner in itertools.product(*(v if k == "p" else v[:1] for k, v in grid.items())):
         th.evaluate(params, *(corner[i] for i in at))
     points = [tuple(values[i] for i in at) for values in itertools.product(*grid.values())]
-    evaluate = _Sweep(params, theorem, oracle, scan_below, seed).cell
-    workers = _worker_count(jobs, len(points))
-    if workers > 1:
-        # imported here: loading the pool costs about 34 ms, which no serial call should pay
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(points) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(evaluate, points, chunksize=chunk))
-    else:
-        cells = list(map(evaluate, points))
+    cells = list(map(_Sweep(params, theorem, oracle, scan_below, seed).cell, points))
     return SweepReport(params, theorem, cells, _summarize(cells))
 
 
@@ -300,7 +274,7 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
     # scan_below=0: the remark's cell carries no scan_checked marker
     run = _Sweep(params, "triple", scan_below=0, seed=seed)
     cell = run.cell((n, p))
-    target = THEOREM_TABLE["triple"].exact_product(run, n, p)
+    target = run.theorem.exact_product(run, n, p)
     alternative = n * (n + p) * (n + 2 * p) // (2 * p * p) * run.u(p) * run.u(2 * p)
     alt_strips_to = rank.tau_min_divisor_oracle(params, target, alternative, seed=seed).value
     cell.inputs.update(
@@ -440,7 +414,7 @@ def report_to_text(report: SweepReport) -> str:
 
 def report_to_csv(report: SweepReport, *, include_timings: bool = False) -> str:
     """One row per cell, columns as SweepCell's fields; inputs are packed as a JSON column."""
-    import csv  # imported here, like the pool: only CSV output needs it
+    import csv  # imported here: only CSV output needs it
     import io
 
     buf = io.StringIO()

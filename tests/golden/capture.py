@@ -89,7 +89,7 @@ CORPUS = [
     ["verify", "sweep", "--theorem", "triple", "--n-max", "4", "--primes", "3",
      "--format", "json"],
     ["verify", "sweep", "--theorem", "um-un", "--m-max", "4", "--n-max", "4",
-     "--oracle", "scan", "--jobs", "1"],
+     "--oracle", "scan"],
     ["verify", "sweep", "--theorem", "um-un", "--m-max", "4", "--n-max", "4",
      "--scan-below", "0", "--csv", "{csv}"],
     ["verify", "remark"],

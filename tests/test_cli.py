@@ -365,31 +365,10 @@ class TestVerify:
         assert "disagreed=1" in out
         assert any(line.startswith("DISAGREE") for line in out.splitlines())
 
-    def test_jobs_2_prints_what_jobs_1_prints(self, capsys):
-        argv = ("verify", "sweep", "--theorem", "um-un",
-                "--m-min", "3", "--m-max", "4", "--n-min", "3", "--n-max", "4")
-        serial = _run(capsys, *argv, "--jobs", "1")
-        assert serial[0] == 0
-        assert "agreed=4" in serial[1]
-        assert _run(capsys, *argv, "--jobs", "2") == serial
-
-    def test_jobs_environment_variable_is_ignored(self, capsys, monkeypatch):
-        real = verifier.sweep
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs["jobs"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(verifier, "sweep", recording)
-        monkeypatch.setenv("LUCAS_RANK_JOBS", "2")
-        code, out, err = _run(
-            capsys, "verify", "sweep", "--theorem", "um-un",
-            "--m-min", "3", "--m-max", "3", "--n-min", "3", "--n-max", "3",
-        )
-        assert (code, err) == (0, "")
-        assert "agreed=1" in out
-        assert seen == [1]
+    def test_jobs_is_a_usage_error(self, capsys):
+        code, out, err = _run(capsys, "verify", "sweep", "--theorem", "um-un", "--jobs", "2")
+        assert (code, out) == (64, "")
+        assert "unrecognized arguments: --jobs 2" in err
 
     def test_remark_json(self, capsys):
         code, out, _ = _run(capsys, "verify", "remark", "--format", "json")

@@ -69,10 +69,6 @@ BAD_CALLS = {
         lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, oracle="scan", scan_below=0), ()),
     "sweep-scan-below-past-scan-cap": (
         lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, scan_below=10**8 + 1), ()),
-    "sweep-jobs-0": (lambda: sweep(FIB, "um-un", jobs=0), ()),
-    "sweep-jobs-minus-3": (lambda: sweep(FIB, "um-un", jobs=-3), ()),
-    "sweep-jobs-str": (lambda: sweep(FIB, "um-un", jobs="2"), ()),
-    "sweep-jobs-float": (lambda: sweep(FIB, "um-un", jobs=1.5), ()),
     "sweep-scan-below-str": (lambda: sweep(FIB, "um-un", scan_below="x"), ()),
     "sweep-scan-below-minus-5": (lambda: sweep(FIB, "um-un", scan_below=-5), ()),
     "sweep-scan-below-float": (lambda: sweep(FIB, "um-un", scan_below=2.5), ()),
@@ -96,10 +92,6 @@ def test_bad_argument_raises_lucas_rank_error(name):
         ("tau_scan-cap-0", "need cap >= 1, got 0"),
         ("tau_scan-cap-minus-1", "need cap >= 1, got -1"),
         ("sweep-scan-below-past-scan-cap", "need scan_below <= 100000000, got 100000001"),
-        ("sweep-jobs-0", "need jobs >= 1, got 0"),
-        ("sweep-jobs-minus-3", "need jobs >= 1, got -3"),
-        ("sweep-jobs-str", "need an int jobs, got '2'"),
-        ("sweep-jobs-float", r"need an int jobs, got 1\.5"),
         ("sweep-scan-below-str", "need an int scan_below >= 0, got 'x'"),
         ("sweep-scan-below-minus-5", "need an int scan_below >= 0, got -5"),
         ("sweep-scan-below-float", r"need an int scan_below >= 0, got 2\.5"),

@@ -1,9 +1,10 @@
 """What a CLI call imports: each command loads only the modules it runs.
 
-The pool and the CSV writer load only where they run, no record needs
-`dataclasses` (and with it `inspect`), and `verifier` and `closed_form`
-load only for the `formula` and `verify` commands.  The scan's product
-of the primes from 1000 to 10^4 is built on first use, not at import.
+No command loads a process pool, the CSV writer loads only where it
+runs, no record needs `dataclasses` (and with it `inspect`), and
+`verifier` and `closed_form` load only for the `formula` and `verify`
+commands.  The scan's product of the primes from 1000 to 10^4 is built
+on first use, not at import.
 """
 
 import os

@@ -1,9 +1,7 @@
 """Tests for grid sweeps, the benchmark reproduction, and fixtures."""
 
-import concurrent.futures
 import json
 import math
-import pickle
 import random
 import types
 from collections import Counter
@@ -29,7 +27,6 @@ from lucas_rank.verifier import (
     THEOREM_TABLE,
     THEOREMS,
     SweepCell,
-    _worker_count,
     check_delta_negative_fixtures,
     report_from_dict,
     report_to_csv,
@@ -94,18 +91,14 @@ class TestSweep:
         assert report.summary.disagreed == 1
 
     @pytest.mark.parametrize("theorem", THEOREMS)
-    def test_parallel_matches_serial(self, theorem):
-        # each worker's chunk of cells carries its own maps of terms and of part outcomes
-        ranges = {"n": (1, 20)} if theorem == "triple" else {"m": (3, 7), "n": (3, 7)}
-        serial = sweep(FIB, theorem, ranges)
-        parallel = sweep(FIB, theorem, ranges, jobs=2)
-        assert report_to_json(serial) == report_to_json(parallel)
-
-    @pytest.mark.parametrize("theorem", THEOREMS)
     def test_ineligible_params_rejected(self, theorem):
         ranges = {key: (3, 4) for key in THEOREM_TABLE[theorem].keys if key != "p"}
         with pytest.raises(NotEligible):
             sweep(make_params(1, -2), theorem, ranges)
+
+    def test_takes_no_jobs(self):
+        with pytest.raises(TypeError):
+            sweep(FIB, "um-un", SMALL, jobs=2)
 
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError):
@@ -270,40 +263,6 @@ class TestTermsOncePerSweep:
         # per candidate it tries: 1,358 in all
         assert len(ladders) == 1651
 
-    def test_the_pools_cell_evaluator_pickles(self, monkeypatch):
-        sent = []
-
-        class PicklingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work, chunksize):
-                sent.append(pickle.dumps(fn))
-                return map(pickle.loads(sent[-1]), work)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
-        # every field crosses the pickle: the oracle and a scan_below that marks some cells
-        # but not all would each change the report if a worker fell back to its default
-        options = ({}, {"oracle": "scan"}, {"scan_below": 25, "seed": 7})
-        marked = Counter()
-        for theorem in THEOREMS:
-            ranges = {"n": (1, 4)} if theorem == "triple" else {"m": (3, 5), "n": (3, 5)}
-            for i, kwargs in enumerate(options):
-                report = sweep(FIB, theorem, ranges, jobs=2, **kwargs)
-                assert report_to_dict(report) == report_to_dict(
-                    sweep(FIB, theorem, ranges, **kwargs)), (theorem, kwargs)
-                marked.update((i, "scan_checked" in c.inputs) for c in report.cells)
-        assert len(sent) == len(options) * len(THEOREMS)
-        assert marked[0, False] == marked[1, True] == 0, marked
-        assert marked[2, True] and marked[2, False], marked
-
 
 class TestPartsOncePerSweep:
     def test_default_block_walks_each_part_once(self, monkeypatch):
@@ -461,51 +420,20 @@ class TestStripsOncePerSweep:
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize(
-        "jobs, cpus, cells, want",
-        [(64, 2, 100, 2), (1, 8, 100, 1), (4, 8, 3, 3), (4, None, 100, 1), (3, 8, 100, 3)],
-    )
-    def test_clamped_to_cpus_and_cells(self, monkeypatch, jobs, cpus, cells, want):
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
-        assert _worker_count(jobs, cells) == want
-
-    def test_sweep_uses_the_clamped_count(self, monkeypatch):
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work, chunksize):
-                return map(fn, work)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
-        report = sweep(FIB, "um-un", {"m": (3, 4), "n": (3, 4)}, jobs=64)
-        assert started == [2] and report.summary.agreed == 4
-        report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, jobs=64)
-        assert started == [2] and report.summary.agreed == 1
+    """The grid's refusals, made before any cell runs."""
 
     @staticmethod
-    def _no_pool(monkeypatch):
-        class NoPool:
-            def __init__(self, max_workers):
-                raise AssertionError("the pool started before the grid was checked")
+    def _no_cell(monkeypatch):
+        def no_cell(self, values):
+            raise AssertionError("a cell ran before the grid was checked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verifier._Sweep, "cell", no_cell)
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_ineligible_params_refused_before_the_pool(self, monkeypatch, theorem):
-        self._no_pool(monkeypatch)
+        self._no_cell(monkeypatch)
         with pytest.raises(NotEligible):
-            sweep(make_params(-1, 2), theorem, jobs=2)
+            sweep(make_params(-1, 2), theorem)
 
     @pytest.mark.parametrize(
         "theorem, ranges, message",
@@ -519,9 +447,9 @@ class TestWorkerCount:
     def test_index_below_the_form_refused_before_the_pool(
         self, monkeypatch, theorem, ranges, message
     ):
-        self._no_pool(monkeypatch)
+        self._no_cell(monkeypatch)
         with pytest.raises(BadRange, match=message):
-            sweep(FIB, theorem, ranges, jobs=2)
+            sweep(FIB, theorem, ranges)
 
 
 class TestDisagreementPath:
