@@ -128,18 +128,12 @@ def _cmd_verify_sweep(ns):
         if getattr(ns, flag) is not None and key not in keys:
             ns.usage_error(f"argument --{flag.replace('_', '-')}: "
                            f"not allowed with --theorem {ns.theorem}")
-    if ns.scan_below is not None and ns.oracle == "scan":
-        ns.usage_error("argument --scan-below: not allowed with --oracle scan")
-    if ns.scan_below is not None and ns.scan_below > verifier._SCAN_HARD_CAP:
-        ns.usage_error(f"argument --scan-below: must be at most {verifier._SCAN_HARD_CAP}, "
-                       f"got {ns.scan_below}")
     given = {"m": (ns.m_min, ns.m_max), "n": (ns.n_min, ns.n_max), "p": ns.primes}
     return verifier.sweep(
         _params(ns),
         ns.theorem,
         {key: given[key] for key in keys},
         oracle=ns.oracle,
-        scan_below=ns.scan_below,
         seed=ns.seed,
     )
 
@@ -181,7 +175,7 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         p = parent.add_parser(name, parents=[common], **kwargs)
         for flag, (kind, text) in flags.items():
             p.add_argument(flag, type=kind, required=True, help=text)
-        p.set_defaults(func=_handler(compute))
+        p.set_defaults(func=_handler(compute), usage_error=p.error)
         return p
 
     if seq := group("seq", "evaluate U_n or V_n"):
@@ -242,13 +236,13 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         p.add_argument("--primes", type=_prime_list, default=None,
                        help="comma-separated odd primes for the triple form")
         p.add_argument("--oracle", choices=verifier.ORACLES, default="divisor-minimality")
-        p.add_argument("--scan-below", type=_nonneg, default=None,
-                       help="extra definitional scan for values below this bound")
         p.set_defaults(func=_report_handler(_cmd_verify_sweep), usage_error=p.error)
         p = verify.add_parser("remark", parents=[common, report_common])
-        p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)))
+        p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)),
+                       usage_error=p.error)
         p = verify.add_parser("fixtures", parents=[common, report_common])
-        p.set_defaults(func=_report_handler(lambda ns: verifier.check_delta_negative_fixtures()))
+        p.set_defaults(func=_report_handler(lambda ns: verifier.check_delta_negative_fixtures()),
+                       usage_error=p.error)
 
     return parser
 
@@ -270,7 +264,9 @@ def _dispatch(argv) -> int:
     # the command is the first word, since the top level takes no option with a value
     command = [arg for arg in argv if not arg.startswith("-")][:1]
     try:
-        ns = build_parser(command).parse_args(argv)
+        ns, unknown = build_parser(command).parse_known_args(argv)
+        if unknown:  # refused by the subcommand's parser, which shows its own usage
+            ns.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
         return ns.func(ns)
     except SystemExit as exc:  # --help, or a usage error from parsing or ns.usage_error
         return 0 if not exc.code else int(exc.code)

@@ -207,9 +207,9 @@ def tau_scan(params: LucasParams, m: int, cap: int, *, walked: dict | None = Non
     factoring is trial division by the primes below 10^4, and each part's k
     is decided by, or confirmed with, that part's own U_k.
 
-    `walked`, a dict the caller keeps across calls and any (a, b), records
-    each part's outcome so that a part met again is not walked again, as
-    {(a, b): {part: (k or None, reach)}} (see `_split_scan`).
+    `walked`, a dict the caller keeps across calls with the same (a, b),
+    records each part's least k as {part: k}, so that a part met again is
+    not walked again (see `_split_scan`).
     `parts`, when given, must be m's split at this cap as `_parts(m, cap)`
     gives it, so that a caller who has already split m need not split it
     again; left as None, m is split here.
@@ -248,21 +248,21 @@ def _split_scan(a: int, b: int, parts: Iterable[tuple[int, int]], cap: int,
     is at most |P^1(Z/q^e)| = q^(e-1)(q+1), and the part is walked to the
     cap or that, whichever is smaller; so is an r known to be prime.
 
-    Each walk's outcome is stored in `walked[a, b]` under the part, as
-    (k or None, the part's cap).  A stored k is the part's least k, so it
-    answers every cap: a k past the part's cap is past the cap itself,
-    since k <= |P^1| where that bound applies, and the lcm refuses it.  A
-    stored None answers only a cap no larger than the one walked to; a
-    larger cap walks the part again and overwrites it.
+    `walked` holds, under each part walked for this (a, b), the least k
+    found.  It answers every cap: a k past the part's cap is past the cap
+    itself, since k <= |P^1| where that bound applies, and the lcm
+    refuses it.  A walk that finds nothing stores nothing.
     """
-    k, walked = 1, walked.setdefault((a, b), {})
+    k = 1
     for part, part_cap in parts:
-        t, reach = walked.get(part, (None, 0))
-        if t is None and reach < part_cap:
+        t = walked.get(part)
+        if t is None:
             walk = _orbit_search if part_cap > _PLAIN_MAX else _plain_scan
             t = walk(a % part, b % part, part, part_cap)
-            walked[part] = t, part_cap
-        if t is None or (k := math.lcm(k, t)) > cap:
+            if t is None:
+                return None
+            walked[part] = t
+        if (k := math.lcm(k, t)) > cap:
             return None
     return k
 

@@ -12,11 +12,10 @@ runs its cells in one process and does each piece of work once, in the
 cell that first needs it: it evaluates each exact term U_i or V_i, walks
 each part the scan splits a target into (see `rank._split_scan`), and
 strips each such part (see `_Sweep.strip`).  A sweep has one (a, b), so
-a walk's outcome is kept under its part in one dict, and a part that
-found nothing is walked again only at a larger cap; a strip's rank is
-kept under its part in another dict, so the scan never reads a strip's
-answer.  A cell splits its target once, and hands the strip's parts to a
-scan at the same cap.
+the least k a walk finds is kept under its part in one dict, and a
+strip's rank under its part in another, so the scan never reads a
+strip's answer.  A cell splits its target once, and hands the strip's
+parts to a scan at the same cap.
 """
 
 import itertools
@@ -76,7 +75,7 @@ ORACLES = ("divisor-minimality", "scan")
 
 # Closed-form values below this get the extra definitional scan.
 DEFAULT_SCAN_BELOW = 10 ** 7
-_SCAN_HARD_CAP = 10 ** 8  # the cap of every scan a sweep makes, so of scan_below too
+_SCAN_HARD_CAP = 10 ** 8  # the cap of the scan oracle and of the strip's fallback scan
 
 
 class SweepCell(NamedTuple):
@@ -200,7 +199,6 @@ def sweep(
     ranges: dict | None = None,
     *,
     oracle: str = "divisor-minimality",
-    scan_below: int | None = None,
     seed: int = 0,
 ) -> SweepReport:
     """Check one closed form over a grid; see module docstring.
@@ -210,23 +208,13 @@ def sweep(
     {"n": (1, 60)}) and a tuple of primes ({"p": (3, 5, 7)}); a key or a
     bound given as None keeps its default, and any other shape or key is
     refused.  The loops nest in the order of the theorem's defaults,
-    outermost first; listed primes keep their given order.
-    `scan_below` (default 10^7, at most the 10^8 cap of every sweep scan)
-    applies to the divisor-minimality oracle only.  The report lists the
-    cells in the loops' order.
+    outermost first; listed primes keep their given order.  The report
+    lists the cells in the loops' order.
     """
     if theorem not in THEOREM_TABLE:
         raise BadRange(f"unknown theorem tag: {theorem}")
     if oracle not in ORACLES:
         raise BadRange(f"unknown oracle: {oracle}")
-    if scan_below is None:
-        scan_below = DEFAULT_SCAN_BELOW
-    elif oracle == "scan":
-        raise BadRange("scan_below applies only to the divisor-minimality oracle")
-    elif not isinstance(scan_below, int) or scan_below < 0:
-        raise BadRange(f"need an int scan_below >= 0, got {scan_below!r}")
-    elif scan_below > _SCAN_HARD_CAP:
-        raise BadRange(f"need scan_below <= {_SCAN_HARD_CAP}, got {scan_below}")
     th = THEOREM_TABLE[theorem]
     if ranges is None:
         ranges = {}
@@ -256,7 +244,7 @@ def sweep(
     for corner in itertools.product(*(v if k == "p" else v[:1] for k, v in grid.items())):
         th.evaluate(params, *(corner[i] for i in at))
     points = [tuple(values[i] for i in at) for values in itertools.product(*grid.values())]
-    cells = list(map(_Sweep(params, theorem, oracle, scan_below, seed).cell, points))
+    cells = list(map(_Sweep(params, theorem, oracle, seed=seed).cell, points))
     return SweepReport(params, theorem, cells, _summarize(cells))
 
 

@@ -91,7 +91,7 @@ CORPUS = [
     ["verify", "sweep", "--theorem", "um-un", "--m-max", "4", "--n-max", "4",
      "--oracle", "scan"],
     ["verify", "sweep", "--theorem", "um-un", "--m-max", "4", "--n-max", "4",
-     "--scan-below", "0", "--csv", "{csv}"],
+     "--csv", "{csv}"],
     ["verify", "remark"],
     ["verify", "remark", "--format", "json"],
     ["verify", "fixtures"],
@@ -118,6 +118,7 @@ CORPUS = [
     ["verify", "sweep", "--theorem", "nope"],
     ["verify", "sweep", "--theorem", "triple", "--primes", "3,x"],
     ["verify", "sweep", "--theorem", "um-un", "--oracle", "guess"],
+    ["verify", "sweep", "--theorem", "um-un", "--scan-below", "0"],
     ["seq", "u", "--n", "3", "--format", "xml"],
     # domain errors (exit 1)
     ["formula", "triple", "--n", "50", "--p", "9"],

@@ -65,13 +65,6 @@ BAD_CALLS = {
     "sweep-three-bounds": (lambda: sweep(FIB, "um-un", {"m": (3, 4, 9), "n": (3, 3)}), ()),
     "sweep-ranges-list": (lambda: sweep(FIB, "um-un", [("m", (3, 4))]), ()),
     "sweep-ranges-0": (lambda: sweep(FIB, "um-un", 0), ()),
-    "sweep-scan-below-with-scan-oracle": (
-        lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, oracle="scan", scan_below=0), ()),
-    "sweep-scan-below-past-scan-cap": (
-        lambda: sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, scan_below=10**8 + 1), ()),
-    "sweep-scan-below-str": (lambda: sweep(FIB, "um-un", scan_below="x"), ()),
-    "sweep-scan-below-minus-5": (lambda: sweep(FIB, "um-un", scan_below=-5), ()),
-    "sweep-scan-below-float": (lambda: sweep(FIB, "um-un", scan_below=2.5), ()),
     "report_from_dict-empty": (report_from_dict, ({},)),
     "report_from_dict-unknown-cell-key": (lambda: report_from_dict({
         "params": {"a": 1, "b": 1}, "theorem": "um-un", "cells": [{"bogus": 1}],
@@ -91,10 +84,6 @@ def test_bad_argument_raises_lucas_rank_error(name):
     [
         ("tau_scan-cap-0", "need cap >= 1, got 0"),
         ("tau_scan-cap-minus-1", "need cap >= 1, got -1"),
-        ("sweep-scan-below-past-scan-cap", "need scan_below <= 100000000, got 100000001"),
-        ("sweep-scan-below-str", "need an int scan_below >= 0, got 'x'"),
-        ("sweep-scan-below-minus-5", "need an int scan_below >= 0, got -5"),
-        ("sweep-scan-below-float", r"need an int scan_below >= 0, got 2\.5"),
         ("sweep-ranges-list", r"malformed ranges: \[\('m', \(3, 4\)\)\]"),
         ("sweep-ranges-0", "malformed ranges: 0"),
         ("report_from_dict-empty", "malformed report: KeyError: 'params'"),

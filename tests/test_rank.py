@@ -778,16 +778,16 @@ def test_parts_equal_the_gcd_split():
 
 
 def test_a_shared_cache_of_part_outcomes_answers_as_the_reference_scan():
-    # one dict of part outcomes across six random (a, b) and every target, as a sweep keeps
-    # one: the targets are drawn from a few prime powers and primes above 10^4, so parts repeat
-    # and most calls meet a part that an earlier call walked, at a cap below, at or above
-    # its cached k, and a cached None at a cap within or past the one it was walked to
+    # one dict of part ranks per (a, b) across six random (a, b) and every target, as a sweep
+    # keeps one: the targets are drawn from a few prime powers and primes above 10^4, so parts
+    # repeat and most calls meet a part that an earlier call walked, at a cap below, at or
+    # above its cached k; a walk that finds nothing is not cached
     rng = random.Random(26)
     pool = [2**3, 3**2, 5, 7**2, 11, 13**2, 89, 997, *_MID_PRIMES[:3]]
     reach = 3000
     pairs = [ab for ab in ((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(40))
              if _valid(ab)][:6]
-    walked, met = {}, Counter()
+    walked, met = {pair: {} for pair in pairs}, Counter()
     for _ in range(300):
         a, b = rng.choice(pairs)
         m = math.prod(rng.sample(pool, rng.randint(1, 3)))
@@ -799,23 +799,21 @@ def test_a_shared_cache_of_part_outcomes_answers_as_the_reference_scan():
         if answer is not NotFound:
             caps |= {answer.value - 1, answer.value, answer.value + 1}
         for part, _ in rank._parts(m, reach):
-            if part in walked.get((a, b), {}):
-                k, walked_to = walked[a, b][part]
-                c = k or walked_to
-                caps |= {c - 1, c, c + 1}
+            if part in walked[a, b]:
+                k = walked[a, b][part]
+                caps |= {k - 1, k, k + 1}
         caps = [cap for cap in caps if 1 <= cap <= reach]
         rng.shuffle(caps)
         for cap in caps:
             part, part_cap = next(rank._parts(m, cap))  # every call consults its first part
-            if part in walked.get((a, b), {}):
-                k, walked_to = walked[a, b][part]
-                within = part_cap >= k if k else part_cap <= walked_to
-                met["k" if k else "None", within] += 1
+            if part in walked[a, b]:
+                met[part_cap >= walked[a, b][part]] += 1
             found = answer is not NotFound and answer.value <= cap
             want = answer if found else NotFound
-            got = _outcome(partial(tau_scan, walked=walked), params, m, cap)
+            got = _outcome(partial(tau_scan, walked=walked[a, b]), params, m, cap)
             assert got == want, (a, b, m, cap)
-    assert len(met) == 4 and min(met.values()) >= 10, met
+    assert len(met) == 2 and min(met.values()) >= 10, met
+    assert all(k is not None for ranks in walked.values() for k in ranks.values())
 
 
 def _above_10_4(n):

@@ -70,10 +70,12 @@ class TestSweep:
         }
 
     def test_scan_checked_marker_follows_threshold(self):
-        report = sweep(FIB, "um-un", SMALL, scan_below=DEFAULT_SCAN_BELOW)
-        assert all(c.inputs.get("scan_checked") for c in report.cells)
-        report = sweep(FIB, "um-un", SMALL, scan_below=1)
-        assert not any(c.inputs.get("scan_checked") for c in report.cells)
+        # of the 25 cells at (3, 1), exactly the 23 claimed below 10^7 get the extra scan
+        report = sweep(make_params(3, 1), "um-un", {"m": (10, 14), "n": (10, 14)})
+        assert report.summary.agreed == 25
+        below = [c.closed_form_value < DEFAULT_SCAN_BELOW for c in report.cells]
+        assert sum(below) == 23
+        assert [c.inputs.get("scan_checked", False) for c in report.cells] == below
 
     def test_scan_oracle(self):
         report = sweep(FIB, "um-un", {"m": (3, 6), "n": (3, 6)}, oracle="scan")
@@ -100,6 +102,10 @@ class TestSweep:
         with pytest.raises(TypeError):
             sweep(FIB, "um-un", SMALL, jobs=2)
 
+    def test_takes_no_scan_below(self):
+        with pytest.raises(TypeError):
+            sweep(FIB, "um-un", SMALL, scan_below=0)
+
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError):
             sweep(FIB, "nope")
@@ -124,7 +130,7 @@ class TestSweep:
         assert set(PAIR_THEOREMS) == {"um-vn", "um-un", "vm-vn"}
 
     def test_partial_ranges_keep_other_defaults(self):
-        report = sweep(FIB, "triple", {"p": (3,)}, scan_below=0)
+        report = sweep(FIB, "triple", {"p": (3,)})
         assert [c.inputs["n"] for c in report.cells] == list(range(1, 61))
 
     def test_none_bound_keeps_its_default(self):
@@ -134,7 +140,7 @@ class TestSweep:
         assert report.summary.agreed == 6
 
     def test_none_key_keeps_its_default(self):
-        report = sweep(FIB, "triple", {"n": (1, 2), "p": None}, scan_below=0)
+        report = sweep(FIB, "triple", {"n": (1, 2), "p": None})
         assert [(c.inputs["n"], c.inputs["p"]) for c in report.cells] == [
             (n, p) for p in (3, 5, 7) for n in (1, 2)]
 
@@ -175,16 +181,6 @@ class TestSweep:
         monkeypatch.setattr(verifier._Sweep, "cell", None)  # a cell would raise TypeError
         with pytest.raises(BadRange, match=f"^malformed range for {key}: "):
             sweep(FIB, theorem, ranges)
-
-    def test_scan_below_past_the_scan_cap_refused_before_any_cell(self, monkeypatch):
-        # the extra scan runs to the claimed rank, so scan_below bounds it like the other scans
-        cap = verifier._SCAN_HARD_CAP
-        monkeypatch.setattr(verifier._Sweep, "cell", None)  # a cell would raise TypeError
-        with pytest.raises(BadRange, match=f"^need scan_below <= {cap}, got {cap + 1}$"):
-            sweep(make_params(3, 1), "um-un", {"m": (30, 30), "n": (30, 30)}, scan_below=cap + 1)
-        monkeypatch.undo()
-        report = sweep(FIB, "um-un", {"m": (3, 3), "n": (3, 3)}, scan_below=cap)
-        assert report.summary.agreed == 1 and report.cells[0].inputs["scan_checked"]
 
     @pytest.mark.parametrize("primes", [(3, 9), (3, 1)])
     def test_bad_prime_refused_before_any_cell(self, monkeypatch, primes):
@@ -280,12 +276,9 @@ class TestPartsOncePerSweep:
         for theorem in THEOREMS:
             walks.clear()
             assert sweep(FIB, theorem).summary.disagreed == 0
-            last = {}
-            for key, cap, k in walks:
-                if key in last:  # walked again only past the cap of a walk that found nothing
-                    before_cap, before_k = last[key]
-                    assert before_k is None and before_cap < cap, (theorem, key)
-                last[key] = cap, k
+            keys = Counter(key for key, _, _ in walks)
+            assert max(keys.values()) == 1, theorem
+            assert all(k is not None for _, _, k in walks), theorem
             total += len(walks)
         assert total == 292  # 4,588 when every scan walks every part
 
