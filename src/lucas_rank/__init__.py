@@ -23,8 +23,8 @@ _EXPORTS = {
              "tau_prime_power", "tau_min_divisor_oracle"),
     "closed_form": ("ClosedFormResult", "tau_um_vn", "tau_um_un", "tau_vm_vn", "tau_triple"),
     "verifier": ("SweepCell", "SweepSummary", "SweepReport", "sweep", "reproduce_remark",
-                 "check_delta_negative_fixtures", "report_to_dict", "report_from_dict",
-                 "report_to_json", "report_to_csv", "report_to_text"),
+                 "check_delta_negative_fixtures", "report_to_dict", "report_to_json",
+                 "report_to_csv", "report_to_text"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -129,13 +129,8 @@ def _cmd_verify_sweep(ns):
             ns.usage_error(f"argument --{flag.replace('_', '-')}: "
                            f"not allowed with --theorem {ns.theorem}")
     given = {"m": (ns.m_min, ns.m_max), "n": (ns.n_min, ns.n_max), "p": ns.primes}
-    return verifier.sweep(
-        _params(ns),
-        ns.theorem,
-        {key: given[key] for key in keys},
-        oracle=ns.oracle,
-        seed=ns.seed,
-    )
+    return verifier.sweep(_params(ns), ns.theorem, {key: given[key] for key in keys},
+                          seed=ns.seed)
 
 
 # ------------------------------------------------------------------ parser
@@ -235,7 +230,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=_positive, default=None)
         p.add_argument("--primes", type=_prime_list, default=None,
                        help="comma-separated odd primes for the triple form")
-        p.add_argument("--oracle", choices=verifier.ORACLES, default="divisor-minimality")
         p.set_defaults(func=_report_handler(_cmd_verify_sweep), usage_error=p.error)
         p = verify.add_parser("remark", parents=[common, report_common])
         p.set_defaults(func=_report_handler(lambda ns: verifier.reproduce_remark(seed=ns.seed)),

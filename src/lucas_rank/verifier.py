@@ -2,11 +2,13 @@
 
 A sweep evaluates one closed form over a grid of indices, computes the
 actual product, and asks an oracle for the true rank of apparition.
-Disagreements are recorded verbatim, never suppressed.  The default
-oracle strips a verified multiple down to the minimum; cells whose
-closed-form value is small enough additionally get the definitional scan,
-so the two routes stay independent.  One `_Sweep` holds a sweep's inputs,
-its exact terms and its part caches, and its `cell` method evaluates one
+Disagreements are recorded verbatim, never suppressed.  Every cell has
+one route: the oracle strips a verified multiple down to the minimum;
+cells claimed below `DEFAULT_SCAN_BELOW` additionally get the
+definitional scan, so the two routes stay independent; and a cell whose
+claimed value is not a multiple of the stripped rank is scanned up to
+`_SCAN_HARD_CAP` instead.  One `_Sweep` holds a sweep's inputs, its
+exact terms and its part caches, and its `cell` method evaluates one
 point, given as the values of the theorem's keys in key order.  A sweep
 runs its cells in one process and does each piece of work once, in the
 cell that first needs it: it evaluates each exact term U_i or V_i, walks
@@ -71,11 +73,10 @@ THEOREM_TABLE = {
 }
 THEOREMS = tuple(THEOREM_TABLE)
 PAIR_THEOREMS = tuple(t for t, th in THEOREM_TABLE.items() if th.keys == ("m", "n"))
-ORACLES = ("divisor-minimality", "scan")
 
 # Closed-form values below this get the extra definitional scan.
 DEFAULT_SCAN_BELOW = 10 ** 7
-_SCAN_HARD_CAP = 10 ** 8  # the cap of the scan oracle and of the strip's fallback scan
+_SCAN_HARD_CAP = 10 ** 8  # the cap of the scan when the strip raises NotAMultiple
 
 
 class SweepCell(NamedTuple):
@@ -104,9 +105,9 @@ class SweepReport(NamedTuple):
 class _Sweep:
     """One sweep's inputs, its exact terms by index and its parts' walks and strips."""
 
-    def __init__(self, params: LucasParams, theorem: str, oracle: str = "divisor-minimality",
+    def __init__(self, params: LucasParams, theorem: str, *,
                  scan_below: int = DEFAULT_SCAN_BELOW, seed: int = 0):
-        self.params, self.theorem, self.oracle = params, THEOREM_TABLE[theorem], oracle
+        self.params, self.theorem = params, THEOREM_TABLE[theorem]
         self.scan_below, self.seed = scan_below, seed
         self.us, self.vs, self.walked, self.stripped = {}, {}, {}, {}
 
@@ -160,23 +161,17 @@ class _Sweep:
         result = th.evaluate(params, *values)
         claimed = result.value
         target = th.exact_product(self, *values)
-        if self.oracle == "divisor-minimality":
-            # split once, for the strip and for a scan at the same cap
-            parts = tuple(rank._parts(target, claimed)) if claimed <= rank.FACTOR_BOUND else None
-            try:
-                got = self.strip(target, parts, claimed)
-            except NotAMultiple:
-                inputs["oracle_note"] = "claimed value is not a multiple of the rank"
-                got = self.scan(target, _SCAN_HARD_CAP)
-            else:
-                if got == claimed and claimed < self.scan_below:
-                    inputs["scan_checked"] = True
-                    got = self.scan(target, claimed, parts)
-        elif claimed > _SCAN_HARD_CAP:  # the "scan" oracle
-            inputs["oracle_cap_hit"] = True
-            got = None
+        # split once, for the strip and for a scan at the same cap
+        parts = tuple(rank._parts(target, claimed)) if claimed <= rank.FACTOR_BOUND else None
+        try:
+            got = self.strip(target, parts, claimed)
+        except NotAMultiple:
+            inputs["oracle_note"] = "claimed value is not a multiple of the rank"
+            got = self.scan(target, _SCAN_HARD_CAP)
         else:
-            got = self.scan(target, claimed)
+            if got == claimed and claimed < self.scan_below:
+                inputs["scan_checked"] = True
+                got = self.scan(target, claimed, parts)
         return SweepCell(inputs=inputs, closed_form_value=claimed, oracle_value=got,
                          case_label=result.case_label, agree=got == claimed,
                          elapsed_ms=(time.perf_counter() - start) * 1000.0)
@@ -198,7 +193,6 @@ def sweep(
     theorem: str,
     ranges: dict | None = None,
     *,
-    oracle: str = "divisor-minimality",
     seed: int = 0,
 ) -> SweepReport:
     """Check one closed form over a grid; see module docstring.
@@ -213,8 +207,6 @@ def sweep(
     """
     if theorem not in THEOREM_TABLE:
         raise BadRange(f"unknown theorem tag: {theorem}")
-    if oracle not in ORACLES:
-        raise BadRange(f"unknown oracle: {oracle}")
     th = THEOREM_TABLE[theorem]
     if ranges is None:
         ranges = {}
@@ -244,7 +236,7 @@ def sweep(
     for corner in itertools.product(*(v if k == "p" else v[:1] for k, v in grid.items())):
         th.evaluate(params, *(corner[i] for i in at))
     points = [tuple(values[i] for i in at) for values in itertools.product(*grid.values())]
-    cells = list(map(_Sweep(params, theorem, oracle, seed=seed).cell, points))
+    cells = list(map(_Sweep(params, theorem, seed=seed).cell, points))
     return SweepReport(params, theorem, cells, _summarize(cells))
 
 
@@ -355,19 +347,6 @@ def report_to_dict(report: SweepReport, *, include_timings: bool = False) -> dic
         for cell in d["cells"]:
             del cell["elapsed_ms"]
     return d
-
-
-def report_from_dict(data: dict) -> SweepReport:
-    """The report `report_to_dict` gave; a missing or unknown field raises BadRange."""
-    try:
-        return SweepReport(
-            make_params(data["params"]["a"], data["params"]["b"]),
-            data["theorem"],
-            [SweepCell(**c) for c in data["cells"]],
-            SweepSummary(**data["summary"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise BadRange(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
 def report_to_json(report: SweepReport, *, include_timings: bool = False) -> str:

@@ -89,8 +89,6 @@ CORPUS = [
     ["verify", "sweep", "--theorem", "triple", "--n-max", "4", "--primes", "3",
      "--format", "json"],
     ["verify", "sweep", "--theorem", "um-un", "--m-max", "4", "--n-max", "4",
-     "--oracle", "scan"],
-    ["verify", "sweep", "--theorem", "um-un", "--m-max", "4", "--n-max", "4",
      "--csv", "{csv}"],
     ["verify", "remark"],
     ["verify", "remark", "--format", "json"],

@@ -356,6 +356,13 @@ class TestVerify:
         assert err.startswith("usage: lucas-rank verify sweep ")
         assert err.splitlines()[-1] == "error: unrecognized arguments: --scan-below 0"
 
+    def test_oracle_is_a_usage_error(self, capsys):
+        code, out, err = _run(capsys, "verify", "sweep", "--theorem", "um-un",
+                              "--oracle", "scan")
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: lucas-rank verify sweep ")
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --oracle scan"
+
     def test_remark_json(self, capsys):
         code, out, _ = _run(capsys, "verify", "remark", "--format", "json")
         assert code == 0

@@ -10,7 +10,6 @@ from lucas_rank import (
     nu_int,
     nu_u,
     nu_v,
-    report_from_dict,
     sweep,
     tau,
     tau_min_divisor_oracle,
@@ -54,7 +53,6 @@ BAD_CALLS = {
     "tau_um_vn": (tau_um_vn, (FIB, 2, 5)),
     "tau_triple": (tau_triple, (FIB, 0, 3)),
     "sweep-theorem": (sweep, (FIB, "nope")),
-    "sweep-oracle": (lambda: sweep(FIB, "um-un", oracle="guess"), ()),
     "sweep-inverted-range": (lambda: sweep(FIB, "um-vn", {"m": (10, 3)}), ()),
     "sweep-no-primes": (lambda: sweep(FIB, "triple", {"p": ()}), ()),
     "sweep-repeated-prime": (lambda: sweep(FIB, "triple", {"p": (3, 3)}), ()),
@@ -65,10 +63,6 @@ BAD_CALLS = {
     "sweep-three-bounds": (lambda: sweep(FIB, "um-un", {"m": (3, 4, 9), "n": (3, 3)}), ()),
     "sweep-ranges-list": (lambda: sweep(FIB, "um-un", [("m", (3, 4))]), ()),
     "sweep-ranges-0": (lambda: sweep(FIB, "um-un", 0), ()),
-    "report_from_dict-empty": (report_from_dict, ({},)),
-    "report_from_dict-unknown-cell-key": (lambda: report_from_dict({
-        "params": {"a": 1, "b": 1}, "theorem": "um-un", "cells": [{"bogus": 1}],
-        "summary": {"total": 0, "agreed": 0, "disagreed": 0, "branch_coverage": {}}}), ()),
 }
 
 
@@ -86,8 +80,6 @@ def test_bad_argument_raises_lucas_rank_error(name):
         ("tau_scan-cap-minus-1", "need cap >= 1, got -1"),
         ("sweep-ranges-list", r"malformed ranges: \[\('m', \(3, 4\)\)\]"),
         ("sweep-ranges-0", "malformed ranges: 0"),
-        ("report_from_dict-empty", "malformed report: KeyError: 'params'"),
-        ("report_from_dict-unknown-cell-key", "malformed report: TypeError: .*'bogus'"),
     ],
 )
 def test_refused_as_bad_range(name, message):

@@ -28,7 +28,6 @@ from lucas_rank.verifier import (
     THEOREMS,
     SweepCell,
     check_delta_negative_fixtures,
-    report_from_dict,
     report_to_csv,
     report_to_dict,
     report_to_json,
@@ -77,20 +76,14 @@ class TestSweep:
         assert sum(below) == 23
         assert [c.inputs.get("scan_checked", False) for c in report.cells] == below
 
-    def test_scan_oracle(self):
-        report = sweep(FIB, "um-un", {"m": (3, 6), "n": (3, 6)}, oracle="scan")
-        assert report.summary.disagreed == 0
-        assert all(c.oracle_value == c.closed_form_value for c in report.cells)
-
-    def test_scan_oracle_cap_hit(self):
-        # the closed form at n = 62, p = 31 is above the scan oracle's hard cap
-        report = sweep(FIB, "triple", {"n": (62, 62), "p": (31,)}, oracle="scan")
+    def test_a_cell_claimed_past_the_scan_threshold_is_checked_by_the_strip_alone(self):
+        # the one cell at (3, 1), m = n = 13, is claimed in [10^7, 10^8]: stripped, not scanned
+        report = sweep(make_params(3, 1), "um-un", {"m": (13, 13), "n": (13, 13)})
         (cell,) = report.cells
-        assert cell.inputs["oracle_cap_hit"] is True
-        assert cell.closed_form_value > verifier._SCAN_HARD_CAP
-        assert cell.oracle_value is None
-        assert not cell.agree
-        assert report.summary.disagreed == 1
+        assert cell.closed_form_value == 20_063_173
+        assert DEFAULT_SCAN_BELOW <= cell.closed_form_value < verifier._SCAN_HARD_CAP
+        assert cell.agree and cell.oracle_value == cell.closed_form_value
+        assert cell.inputs == {"m": 13, "n": 13}
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_ineligible_params_rejected(self, theorem):
@@ -106,11 +99,13 @@ class TestSweep:
         with pytest.raises(TypeError):
             sweep(FIB, "um-un", SMALL, scan_below=0)
 
+    def test_takes_no_oracle(self):
+        with pytest.raises(TypeError):
+            sweep(FIB, "um-un", SMALL, oracle="scan")
+
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError):
             sweep(FIB, "nope")
-        with pytest.raises(ValueError):
-            sweep(FIB, "um-un", SMALL, oracle="guess")
 
     @pytest.mark.parametrize(
         "theorem, ranges, key",
@@ -575,6 +570,16 @@ class TestFixtures:
         assert by_pair[(2, -3)].inputs["dividend_value"] == -10
 
 
+def _report_from_dict(data: dict) -> verifier.SweepReport:
+    """The report that `report_to_dict` gave, rebuilt field by field."""
+    return verifier.SweepReport(
+        make_params(data["params"]["a"], data["params"]["b"]),
+        data["theorem"],
+        [SweepCell(**c) for c in data["cells"]],
+        verifier.SweepSummary(**data["summary"]),
+    )
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "make",
@@ -588,12 +593,12 @@ class TestSerialization:
     def test_json_roundtrip(self, make):
         report = make()
         data = json.loads(report_to_json(report, include_timings=True))
-        back = report_from_dict(data)
+        back = _report_from_dict(data)
         assert back.cells == report.cells  # elapsed_ms included
         assert (back.params, back.theorem, back.summary) == (
             report.params, report.theorem, report.summary)
         assert report_to_dict(back) == report_to_dict(report)
-        assert report_from_dict(report_to_dict(report, include_timings=True)) == report
+        assert _report_from_dict(report_to_dict(report, include_timings=True)) == report
         # fresh dicts, not the records' own: the params, each cell's inputs, the coverage
         d = report_to_dict(report)
         d["params"]["a"] += 1
