@@ -186,11 +186,11 @@ def nu_in_u(params: LucasParams, p: int, k: int) -> int:
 # A part of m whose own cap is at most this is stepped one index at a time; a larger one
 # is searched.  Timed with no answer below the cap (nproc = 2, Python 3.11.7), the orbit
 # search overtakes the plain loop near cap 150-250 when every y is a unit mod m (primes of
-# 20-61 bits), but near 950-1150 for whole smooth m (parts of U_k of 129-163 bits), whose
+# 20-61 bits), but near 900-1250 for whole smooth m (parts of U_k of 129-163 bits), whose
 # points take the general key path; `_split_scan` never searches those whole.  On the pair
-# sweeps' own scans with caps in (256, 1024], limits of 384 to 640 took within 3% of each
-# other, while 1024 took 12-13% more than 512 and 256 took 7-8% more.  Only a cap above it
-# pays the gcd with the primes from 1000 to 10^4 (`_parts`).
+# sweeps' own scans with caps in (256, 1024], limits of 640 and 1024 took within 1.1% of
+# 512, while 384 took about 5% more and 256 took 24-26% more.  Only a cap above it pays the
+# gcd with the primes from 1000 to 10^4 (`_parts`).
 _PLAIN_MAX = 512
 _BABY_MAX = 2 ** 16  # bounds the baby table; larger caps take more giant steps
 _GIANT_BATCH = 64  # giant points keyed, with their mirrors, by one inverse
@@ -323,17 +323,12 @@ def _prime_powers(m: int, g: int, cap: int,
 
 
 def _plain_scan(am: int, bm: int, m: int, cap: int) -> int | None:
-    """Least k <= cap with m | U_k, or None, stepping the recurrence two indices a pass."""
+    """Least k <= cap with m | U_k, or None, stepping the recurrence one index a pass."""
     u0, u1 = 0, 1 % m
-    for k in range(1, cap, 2):  # U_k is in u1, U_{k+1} goes to u0
+    for k in range(1, cap + 1):  # U_k is in u1
         if not u1:
             return k
-        u0 = (am * u1 + bm * u0) % m
-        if not u0:
-            return k + 1
-        u1 = (am * u0 + bm * u1) % m
-    if cap % 2 and not u1:  # an odd cap leaves U_cap unchecked in u1
-        return cap
+        u0, u1 = u1, (am * u1 + bm * u0) % m
     return None
 
 

@@ -4,8 +4,8 @@ A sweep evaluates one closed form over a grid of indices, computes the
 actual product, and asks an oracle for the true rank of apparition.
 Disagreements are recorded verbatim, never suppressed.  Every cell has
 one route: the oracle strips a verified multiple down to the minimum;
-cells claimed below `DEFAULT_SCAN_BELOW` additionally get the
-definitional scan, so the two routes stay independent; and a cell whose
+cells claimed below `SCAN_BELOW` additionally get the definitional
+scan, so the two routes stay independent; and a cell whose
 claimed value is not a multiple of the stripped rank is scanned up to
 `_SCAN_HARD_CAP` instead.  One `_Sweep` holds a sweep's inputs, its
 exact terms and its part caches, and its `cell` method evaluates one
@@ -20,6 +20,7 @@ strip's answer.  A cell splits its target once, and hands the strip's
 parts to a scan at the same cap.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -75,7 +76,7 @@ THEOREMS = tuple(THEOREM_TABLE)
 PAIR_THEOREMS = tuple(t for t, th in THEOREM_TABLE.items() if th.keys == ("m", "n"))
 
 # Closed-form values below this get the extra definitional scan.
-DEFAULT_SCAN_BELOW = 10 ** 7
+SCAN_BELOW = 10 ** 7
 _SCAN_HARD_CAP = 10 ** 8  # the cap of the scan when the strip raises NotAMultiple
 
 
@@ -105,19 +106,12 @@ class SweepReport(NamedTuple):
 class _Sweep:
     """One sweep's inputs, its exact terms by index and its parts' walks and strips."""
 
-    def __init__(self, params: LucasParams, theorem: str, *,
-                 scan_below: int = DEFAULT_SCAN_BELOW, seed: int = 0):
-        self.params, self.theorem = params, THEOREM_TABLE[theorem]
-        self.scan_below, self.seed = scan_below, seed
-        self.us, self.vs, self.walked, self.stripped = {}, {}, {}, {}
-
-    def u(self, i: int) -> int:
-        """U_i, evaluated exactly in the cell that first needs it."""
-        return self.us[i] if i in self.us else self.us.setdefault(i, u_exact(self.params, i))
-
-    def v(self, i: int) -> int:
-        """V_i, evaluated exactly in the cell that first needs it."""
-        return self.vs[i] if i in self.vs else self.vs.setdefault(i, v_exact(self.params, i))
+    def __init__(self, params: LucasParams, theorem: str, *, seed: int = 0):
+        self.params, self.theorem, self.seed = params, THEOREM_TABLE[theorem], seed
+        # U_i and V_i, each evaluated exactly in the cell that first needs it
+        self.u = functools.cache(functools.partial(u_exact, params))
+        self.v = functools.cache(functools.partial(v_exact, params))
+        self.walked, self.stripped = {}, {}
 
     def scan(self, target: int, cap: int, parts: tuple | None = None) -> int | None:
         try:
@@ -169,7 +163,7 @@ class _Sweep:
             inputs["oracle_note"] = "claimed value is not a multiple of the rank"
             got = self.scan(target, _SCAN_HARD_CAP)
         else:
-            if got == claimed and claimed < self.scan_below:
+            if got == claimed and claimed < SCAN_BELOW:
                 inputs["scan_checked"] = True
                 got = self.scan(target, claimed, parts)
         return SweepCell(inputs=inputs, closed_form_value=claimed, oracle_value=got,
@@ -246,13 +240,13 @@ def reproduce_remark(*, seed: int = 0) -> SweepReport:
     The closed form gives 82500 = 25 * 55 * 60.  A coarser published
     expression, n(n+p)(n+2p)/(2p^2) * U_p * U_{2p}, gives 907500; the
     report records that value, the factor between them, and what the
-    divisor-minimality oracle reduces each one to.
+    divisor-minimality oracle reduces each one to.  The cell itself takes
+    a sweep cell's route: stripped, then scanned up to 82500.
     """
     params = make_params(1, 1)
     start = time.perf_counter()
     n, p = 50, 5
-    # scan_below=0: the remark's cell carries no scan_checked marker
-    run = _Sweep(params, "triple", scan_below=0, seed=seed)
+    run = _Sweep(params, "triple", seed=seed)
     cell = run.cell((n, p))
     target = run.theorem.exact_product(run, n, p)
     alternative = n * (n + p) * (n + 2 * p) // (2 * p * p) * run.u(p) * run.u(2 * p)

@@ -371,6 +371,7 @@ class TestVerify:
         assert cell["closed_form_value"] == 82500
         assert cell["inputs"]["alternative_value"] == 907500
         assert cell["inputs"]["ratio"] == 11
+        assert cell["inputs"]["scan_checked"] is True
         assert cell["agree"] is True
 
     def test_remark_text_mentions_both_values(self, capsys):

@@ -283,7 +283,7 @@ def _smooth_part(k):
 
 
 class TestPlainLoop:
-    """The loop that steps caps up to `_PLAIN_MAX` two indices a pass, at odd and even caps."""
+    """The loop that steps caps up to `_PLAIN_MAX` one index a pass, at odd and even caps."""
 
     @pytest.mark.parametrize("a,b", [(1, 1), (3, -1), (2, 1), (4, -3)])
     def test_matches_reference_at_every_small_cap(self, a, b):

@@ -22,8 +22,8 @@ from lucas_rank.errors import (
 )
 from lucas_rank.lucas_core import make_params
 from lucas_rank.verifier import (
-    DEFAULT_SCAN_BELOW,
     PAIR_THEOREMS,
+    SCAN_BELOW,
     THEOREM_TABLE,
     THEOREMS,
     SweepCell,
@@ -72,7 +72,7 @@ class TestSweep:
         # of the 25 cells at (3, 1), exactly the 23 claimed below 10^7 get the extra scan
         report = sweep(make_params(3, 1), "um-un", {"m": (10, 14), "n": (10, 14)})
         assert report.summary.agreed == 25
-        below = [c.closed_form_value < DEFAULT_SCAN_BELOW for c in report.cells]
+        below = [c.closed_form_value < SCAN_BELOW for c in report.cells]
         assert sum(below) == 23
         assert [c.inputs.get("scan_checked", False) for c in report.cells] == below
 
@@ -81,7 +81,7 @@ class TestSweep:
         report = sweep(make_params(3, 1), "um-un", {"m": (13, 13), "n": (13, 13)})
         (cell,) = report.cells
         assert cell.closed_form_value == 20_063_173
-        assert DEFAULT_SCAN_BELOW <= cell.closed_form_value < verifier._SCAN_HARD_CAP
+        assert SCAN_BELOW <= cell.closed_form_value < verifier._SCAN_HARD_CAP
         assert cell.agree and cell.oracle_value == cell.closed_form_value
         assert cell.inputs == {"m": 13, "n": 13}
 
@@ -528,6 +528,26 @@ class TestRemark:
         assert cell.inputs["alternative_value"] == 907500
         assert cell.inputs["alternative_strips_to"] == 82500
         assert cell.inputs["ratio"] == 11
+        assert cell.inputs["scan_checked"] is True
+        assert list(cell.inputs) == [
+            "n", "p", "scan_checked", "alternative_value", "alternative_strips_to", "ratio",
+            "oracle_method",
+        ]
+
+    def test_scanned_once_at_the_claimed_cap(self, monkeypatch):
+        scans = []
+        real = rank.tau_scan
+
+        def counting(params, m, cap, **kwargs):
+            scans.append((m, cap))
+            return real(params, m, cap, **kwargs)
+
+        monkeypatch.setattr(rank, "tau_scan", counting)
+        assert reproduce_remark().cells[0].oracle_value == 82500
+        u = [0, 1]
+        while len(u) <= 60:
+            u.append(u[-1] + u[-2])
+        assert scans == [(u[50] * u[55] * u[60], 82500)]
 
     def test_deterministic(self):
         a = report_to_dict(reproduce_remark())
